@@ -84,10 +84,10 @@ def main() -> None:
     print(f"  two runs agree on all {len(first)} handles and every fault tally")
 
     print("\n== manual healing: cluster.recover_host() ==")
-    from repro.net import FailureInjector
+    from repro.net import inject_host_faults
 
     victim = cluster.network.alive_host_ids()[-1]
-    FailureInjector(cluster.network).fail([victim])
+    inject_host_faults(cluster.network, [victim])
     print(f"  injected a crash-stop on host {victim}")
     event = cluster.recover_host(victim)
     print(f"  churn event: kind={event.kind!r}, host={event.host}, cost 0 messages")

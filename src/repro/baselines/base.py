@@ -12,8 +12,8 @@ To keep the eight baselines small and uniform they share this pattern:
   network's slot store, so per-host memory ``M`` is measured rather than
   asserted;
 * searches run exclusively over the stored tables via
-  :class:`repro.net.rpc.Traversal`, so query messages ``Q(n)`` are counted
-  exactly;
+  :class:`repro.engine.steps.StepCursor`, so query messages ``Q(n)`` are
+  counted exactly;
 * updates recompute the affected tables and charge one message per host
   whose stored table actually changed (plus the search that locates the
   update position), mirroring how the skip-web update protocol is

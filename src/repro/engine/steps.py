@@ -8,9 +8,8 @@ whether the crossing cost a message.  The same generator can then be
 driven two ways:
 
 * :func:`run_immediate` resolves every effect synchronously against the
-  network, reproducing exactly the accounting of
-  :class:`repro.net.rpc.Traversal` — this is the default single-operation
-  path used by ``structure.query(...)`` and friends;
+  network, charging one message per host crossing — this is the default
+  single-operation path used by ``structure.query(...)`` and friends;
 * :class:`repro.engine.executor.BatchExecutor` interleaves many
   generators round by round over the network's queued delivery mode, so
   per-host per-round congestion is measured directly.
@@ -146,10 +145,10 @@ StepGenerator = Generator[Step, Resolution, Any]
 class StepCursor:
     """Generator-side bookkeeping of a step-driven traversal.
 
-    Mirrors :class:`repro.net.rpc.Traversal` (current host, hop count,
-    visited path) but delegates the actual message charging to the driver
-    through yielded effects, so the same routing code is honest under both
-    immediate and round-based execution.
+    Tracks the current host, hop count and visited path, but delegates
+    the actual message charging to the driver through yielded effects, so
+    the same routing code is honest under both immediate and round-based
+    execution.
     """
 
     __slots__ = ("_current", "_hops", "_latency", "_path")
@@ -271,9 +270,9 @@ def run_immediate(
 ) -> Any:
     """Drive a step generator to completion synchronously.
 
-    Every cross-host effect is charged one message on the spot, exactly as
-    :meth:`repro.net.rpc.Traversal.visit` would charge it; this keeps the
-    single-operation numbers identical to the pre-engine code paths.  A
+    Every cross-host effect a :class:`StepCursor` yields is charged one
+    message on the spot; this keeps the single-operation numbers identical
+    to the pre-engine code paths.  A
     :class:`Fork` effect drives each branch to completion (back to back,
     every branch starting at the fork host) and resolves to the tuple of
     branch results — the same billing the round-based executor applies,

@@ -13,13 +13,8 @@ single-process simulator:
 * :class:`~repro.net.network.Network` — the host registry and the message
   accounting boundary.  Every remote pointer dereference costs one message;
   local dereferences are free, matching the paper's cost model.
-* :class:`~repro.net.rpc.Traversal` — a cursor that walks a distributed
-  structure, automatically charging messages when it crosses hosts.
 * :class:`~repro.net.congestion.CongestionReport` — the congestion measure
   ``C(n)`` of §1.1.
-* :mod:`repro.net.failure` — optional failure injection used by tests to
-  check that stale pointers are detected (the paper assumes no failures;
-  this is an extension).
 * :mod:`repro.net.churn` — live membership change: hosts joining,
   leaving gracefully (with record hand-off) or crashing (followed by
   structure self-repair); also an extension beyond the paper.
@@ -47,7 +42,6 @@ from repro.net.topology import (
     resolve_topology,
     topology_from_config,
 )
-from repro.net.rpc import Traversal, RemoteRef
 from repro.net.congestion import (
     CongestionReport,
     RoundCongestionReport,
@@ -63,7 +57,6 @@ from repro.net.faults import (
     inject_host_faults,
     resolve_faults,
 )
-from repro.net.failure import FailureInjector
 from repro.net.churn import ChurnController, ChurnEvent, churn_schedule
 
 __all__ = [
@@ -88,14 +81,11 @@ __all__ = [
     "TOPOLOGY_NAMES",
     "resolve_topology",
     "topology_from_config",
-    "Traversal",
-    "RemoteRef",
     "CongestionReport",
     "RoundCongestionReport",
     "congestion_report",
     "round_congestion_report",
     "summarize_round_reports",
-    "FailureInjector",
     "FaultPlan",
     "FaultRule",
     "FAULT_NAMES",

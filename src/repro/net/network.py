@@ -7,8 +7,8 @@ Structures never talk to each other directly; they
 * store items on hosts and obtain :class:`~repro.net.naming.Address`
   pointers,
 * dereference remote pointers via :meth:`Network.send` (or, more
-  conveniently, via :class:`repro.net.rpc.Traversal`), which charges one
-  message per host crossing.
+  conveniently, via a :class:`repro.engine.steps.StepCursor`), which
+  charges one message per host crossing.
 
 Message counting for a single logical operation (one query, one insert)
 is done with :meth:`Network.measure`, a context manager that snapshots
@@ -584,7 +584,7 @@ class Network:
 
         Structures must only call this for local dereferences, or after
         having charged the hop via :meth:`send` /
-        :class:`~repro.net.rpc.Traversal`.  ``check_alive=False`` skips
+        :class:`~repro.engine.steps.StepCursor`.  ``check_alive=False`` skips
         the failure-injection liveness check; it is reserved for
         structural bookkeeping that must apply atomically (update
         propagation, reference recounts) and must therefore not be

@@ -184,6 +184,29 @@ class HyperCube:
                 return False
         return True
 
+    def contains_within(self, point: Point, bound: "HyperCube") -> bool:
+        """Closed membership of a dyadic sub-cell of the cube ``bound``.
+
+        Like :meth:`contains_closed`, except on the far faces the cell
+        shares with ``bound``: there ``lower + side`` can round an ulp
+        short of ``bound``'s own far face, which would leave a point on
+        that face outside every cell.  A far face within half a side of
+        ``bound``'s is that face, and is tested at ``bound``'s value.
+        """
+        lower = self.lower
+        if len(point) != len(lower):
+            return False
+        side = self.side
+        for low, bound_low, coordinate in zip(lower, bound.lower, point):
+            if coordinate < low:
+                return False
+            far = low + side
+            if coordinate > far:
+                bound_far = bound_low + bound.side
+                if coordinate > bound_far or far + side / 2 <= bound_far:
+                    return False
+        return True
+
     def intersects(self, other) -> bool:
         """Closed-overlap test against another cube (or any range with cubes)."""
         if isinstance(other, HyperCube):

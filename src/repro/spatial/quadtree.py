@@ -136,14 +136,12 @@ class CompressedQuadtree:
             cell.children.append(child)
         return cell
 
-    @staticmethod
-    def _child_index(cube: HyperCube, point: Point) -> int:
+    def _child_index(self, cube: HyperCube, point: Point) -> int:
         index = cube.child_index(point)
-        # Points on the far (closed) faces of the bounding cube would index
-        # a child outside the cube; clamp them into the last child.
-        child = cube.child(index)
-        if not child.contains_closed(point):  # pragma: no cover - defensive
-            raise StructureError(f"point {point} escaped its child cell")
+        # Points on the bounding cube's far faces belong to the last child
+        # along them, even where the child's computed face rounds short.
+        if not cube.child(index).contains_within(point, self.bounding_cube):
+            raise StructureError(f"point {point} escaped its child cell")  # pragma: no cover
         return index
 
     # ------------------------------------------------------------------ #
@@ -400,7 +398,7 @@ class CompressedQuadtree:
             if cell.is_leaf:
                 if len(cell.points) != 1:
                     raise StructureError("leaf cell must store exactly one point")
-                if not cell.cube.contains_closed(cell.points[0]):
+                if not cell.cube.contains_within(cell.points[0], self.bounding_cube):
                     raise StructureError("leaf point escaped its cell")
                 continue
             if len(cell.children) == 1 and cell.parent is not None:

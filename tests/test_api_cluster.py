@@ -1,4 +1,4 @@
-"""Tests for the ``repro.api`` façade: registry, Cluster, handles, shims."""
+"""Tests for the ``repro.api`` façade: registry, Cluster, handles."""
 
 import random
 import warnings
@@ -13,7 +13,6 @@ from repro.api import (
     resolve_structure,
     structure_specs,
 )
-from repro.api.compat import build_churn_controller, build_executor, build_structure
 from repro.baselines import ChordDHT, DistributedOrderedStructure, SkipGraph
 from repro.engine import BatchExecutor, DistributedStructure
 from repro.errors import StructureError
@@ -252,6 +251,12 @@ class TestClusterOperations:
         assert failed.status == "failed"
         assert failed.messages == probe.messages - 1 > 0
 
+    def test_new_code_path_is_warning_free(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            cluster = _cluster("skipweb1d")
+            assert cluster.nearest(KEYS[0]).ok
+
 
 class TestErrorTaxonomy:
     def test_chord_batch_translates_unsupported_instead_of_raising(self):
@@ -325,31 +330,3 @@ class TestFacadeEqualsDirect:
                 direct.lookup(key, origin_host=origin).messages
                 == cluster.get(key, origin_host=origin).result().messages
             )
-
-
-class TestDeprecationShims:
-    def test_build_structure_warns_and_works(self):
-        with pytest.warns(DeprecationWarning, match="Cluster"):
-            web = build_structure("skipweb1d", KEYS, seed=3)
-        assert isinstance(web, SkipWeb1D)
-        assert web.nearest(KEYS[0]).answer.exact
-
-    def test_build_executor_warns_and_works(self):
-        web = SkipWeb1D(KEYS, seed=3)
-        with pytest.warns(DeprecationWarning, match="Cluster.batch"):
-            executor = build_executor(web)
-        result = executor.run([Operation("search", KEYS[0])])
-        assert result.completed == 1
-
-    def test_build_churn_controller_warns_and_works(self):
-        web = SkipWeb1D(KEYS, seed=3)
-        with pytest.warns(DeprecationWarning, match="join_host"):
-            controller = build_churn_controller(web, rng=random.Random(1))
-        event = controller.join()
-        assert event.kind == "join"
-
-    def test_new_code_path_is_warning_free(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            cluster = _cluster("skipweb1d")
-            assert cluster.nearest(KEYS[0]).ok

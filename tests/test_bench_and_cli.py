@@ -336,11 +336,10 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["rows"]
         for row in payload["rows"]:
-            for column in ("range", "updates", "bulk_load", "shardable", "durable"):
+            for column in ("range", "updates", "bulk_load", "durable"):
                 assert isinstance(row[column], bool)
         chord = next(row for row in payload["rows"] if row["structure"] == "chord")
         assert chord["range"] is False
-        assert chord["shardable"] is True
 
     def test_cli_structures_table_renders_yes_no(self, capsys):
         assert main(["structures"]) == 0
@@ -354,7 +353,7 @@ class TestCli:
         rows = list(reader)
         assert rows
         for row in rows:
-            for column in ("range", "updates", "bulk_load", "shardable", "durable"):
+            for column in ("range", "updates", "bulk_load", "durable"):
                 assert row[column] in ("True", "False")
 
     def test_cli_serve_and_hammer_parse(self):

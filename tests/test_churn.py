@@ -7,7 +7,7 @@ import pytest
 from repro.baselines import ChordDHT, SkipGraph
 from repro.engine import BatchExecutor, Operation, RepairEngine
 from repro.errors import ChurnError, StructureError
-from repro.net import ChurnController, FailureInjector, MessageKind, Network, churn_schedule
+from repro.net import ChurnController, MessageKind, Network, churn_schedule, inject_host_faults
 from repro.onedim import BucketSkipWeb1D, SkipWeb1D
 from repro.workloads import uniform_keys
 
@@ -214,7 +214,7 @@ class TestRepairEngine:
 
         web = SkipWeb1D(uniform_keys(16, seed=6), seed=6)
         source, target = web.origin_hosts()[2], web.origin_hosts()[5]
-        FailureInjector(web.network).fail([target])
+        inject_host_faults(web.network, [target])
         with pytest.raises(HostFailedError):
             RepairEngine(web).migrate(source, targets=[target], fraction=0.5)
         # The failed hand-off happened before any record moved, so the

@@ -24,7 +24,7 @@ from repro.errors import (
     StructureError,
     UpdateError,
 )
-from repro.net import MessageKind, Network
+from repro.net import MessageKind, Network, inject_host_faults
 from repro.onedim import BucketSkipWeb1D, SkipWeb1D
 from repro.spatial.geometry import HyperCube
 from repro.spatial.skip_quadtree import SkipQuadtreeWeb
@@ -53,6 +53,20 @@ class TestSteps:
         assert hops == 2
         assert path == [0, 1, 2]
         assert network.total_messages == 2
+
+    def test_run_immediate_bills_the_given_kind(self):
+        network = Network()
+        network.add_hosts(2)
+
+        def hop():
+            cursor = StepCursor(0)
+            yield from cursor.hop_to(0)
+            yield from cursor.hop_to(1)
+            return cursor.hops
+
+        assert run_immediate(network, hop(), 0, kind=MessageKind.UPDATE) == 1
+        assert network.message_log.count(MessageKind.UPDATE) == 1
+        assert network.message_log.count(MessageKind.QUERY) == 0
 
     def test_cursor_does_not_move_on_uncharged_resolution(self):
         """A cache-style resolution leaves the cursor (and cost) in place."""
@@ -295,8 +309,6 @@ class TestBatchExecutor:
         so without epoch-based invalidation a batch after a failure would
         happily route searches via records on dead hosts.
         """
-        from repro.net import FailureInjector
-
         rng = random.Random(13)
         keys = uniform_keys(32, seed=13)
         web = SkipWeb1D(keys, seed=13)
@@ -308,10 +320,9 @@ class TestBatchExecutor:
         warm = executor.run(operations)
         assert warm.cache_hits > 0 and warm.cache_misses == 0
 
-        injector = FailureInjector(web.network)
         victim = web.origin_hosts()[-1]
-        injector.fail([victim])
-        injector.recover_all()
+        inject_host_faults(web.network, [victim])
+        web.network.recover_host(victim)
         # Membership changed (fail + recover): every memoized route is
         # suspect, so the next batch must re-fetch instead of hitting.
         after = executor.run(operations)

@@ -26,7 +26,6 @@ import random
 import pytest
 
 from repro.api import Cluster, FaultPlan, FaultRule, resolve_faults
-from repro.engine.sharded import ShardedExecutor
 from repro.errors import (
     ChurnError,
     FaultInjectedError,
@@ -35,7 +34,6 @@ from repro.errors import (
 )
 from repro.net import (
     ChurnController,
-    FailureInjector,
     MessageKind,
     Network,
     churn_schedule,
@@ -382,20 +380,6 @@ class TestClusterResilience:
         assert cluster.faults.rules == (drop(0.05, message_kind="query"),)
         assert report.summary()["completed"] == len(QUERIES)
 
-    def test_sharded_executor_declares_serial_fallback(self):
-        with ledger_mode():
-            chaotic = Cluster(
-                "skipweb1d", KEYS, seed=7, workers=2, faults=FaultPlan([drop(0.1)], seed=7)
-            )
-            assert isinstance(chaotic.executor, ShardedExecutor)
-            chaotic.batch([("search", QUERIES[0])])
-            assert "fault plan" in chaotic.executor.last_fallback_reason
-
-            budgeted = Cluster("skipweb1d", KEYS, seed=7, workers=2, round_budget=50)
-            assert isinstance(budgeted.executor, ShardedExecutor)
-            budgeted.batch([("search", QUERIES[0])])
-            assert "round budget" in budgeted.executor.last_fallback_reason
-
 
 class TestChurnRecover:
     @staticmethod
@@ -411,7 +395,7 @@ class TestChurnRecover:
     def test_recover_brings_a_crash_stopped_host_back(self):
         web, controller = self._web_and_controller()
         victim = web.origin_hosts()[2]
-        FailureInjector(web.network).fail([victim])
+        inject_host_faults(web.network, [victim])
         event = controller.recover(victim)
         assert event.kind == "recover"
         assert event.host == victim
@@ -421,7 +405,7 @@ class TestChurnRecover:
     def test_recover_samples_among_failed_hosts(self):
         web, controller = self._web_and_controller(seed=1)
         victims = web.origin_hosts()[1:3]
-        FailureInjector(web.network).fail(victims)
+        inject_host_faults(web.network, victims)
         event = controller.recover()
         assert event.host in victims
         assert len(web.network.failed_hosts) == 1
@@ -435,7 +419,7 @@ class TestChurnRecover:
 
     def test_run_schedule_accepts_recover_events(self):
         web, controller = self._web_and_controller(seed=3)
-        FailureInjector(web.network).fail([web.origin_hosts()[4]])
+        inject_host_faults(web.network, [web.origin_hosts()[4]])
         events = controller.run_schedule(["recover"])
         assert [event.kind for event in events] == ["recover"]
 
@@ -450,27 +434,6 @@ class TestChurnRecover:
         weighted = churn_schedule(200, random.Random(4), recover_weight=2.0)
         assert "recover" in weighted
         assert set(weighted) <= set(EVENT_KINDS)
-
-
-class TestFailureInjector:
-    def test_fail_never_refails_and_reports_actual_victims(self):
-        network = Network()
-        network.add_hosts(4)
-        injector = FailureInjector(network)
-        assert injector.fail([1, 2]) == [1, 2]
-        assert injector.fail([2, 3, 99]) == [3]
-        assert injector.failed == {1, 2, 3}
-
-    def test_fail_random_fails_at_least_one_host(self):
-        network = Network()
-        network.add_hosts(5)
-        injector = FailureInjector(network, rng=random.Random(0))
-        victims = injector.fail_random(0.1)  # 5 * 0.1 truncates to 0
-        assert len(victims) == 1
-        injector.recover_all()
-        assert injector.fail_random(0.0) == []
-        with pytest.raises(ValueError, match="fraction"):
-            injector.fail_random(1.5)
 
 
 class TestDurability:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import AddressError, HostFailedError, HostMemoryExceeded, UnknownHostError
-from repro.net import Address, FailureInjector, Host, MessageKind, Network, Traversal
+from repro.net import Address, Host, MessageKind, Network, inject_host_faults
 from repro.net.congestion import congestion_report, round_congestion_report
 from repro.net.message import MessageLog
 
@@ -151,42 +151,6 @@ class TestNetwork:
         network.recover_host(1)
         network.send(0, 1)
         assert network.total_messages == 1
-
-
-class TestTraversal:
-    def test_local_visit_is_free(self):
-        network = Network()
-        network.add_hosts(2)
-        address = network.store(0, "x")
-        traversal = Traversal(network, origin=0)
-        assert traversal.visit(address) == "x"
-        assert traversal.hops == 0
-
-    def test_remote_visit_charges_one_message(self):
-        network = Network()
-        network.add_hosts(2)
-        address = network.store(1, "x")
-        traversal = Traversal(network, origin=0)
-        traversal.visit(address)
-        assert traversal.hops == 1
-        assert traversal.current_host == 1
-        assert traversal.path == [0, 1]
-
-    def test_hop_to_same_host_is_free(self):
-        network = Network()
-        network.add_hosts(2)
-        traversal = Traversal(network, origin=0)
-        traversal.hop_to(0)
-        assert traversal.hops == 0
-        traversal.hop_to(1)
-        assert traversal.hops == 1
-
-    def test_update_kind_is_recorded(self):
-        network = Network()
-        network.add_hosts(2)
-        traversal = Traversal(network, origin=0, kind=MessageKind.UPDATE)
-        traversal.hop_to(1)
-        assert network.message_log.count(MessageKind.UPDATE) == 1
 
 
 class TestMessageLog:
@@ -425,32 +389,15 @@ class TestRoundMode:
                     pass  # pragma: no cover
 
 
-class TestFailureInjector:
-    def test_fail_and_recover(self):
-        network = Network()
-        network.add_hosts(10)
-        injector = FailureInjector(network)
-        failed = injector.fail_random(0.3)
-        assert len(failed) == 3
-        assert injector.failed == set(failed)
-        injector.recover_all()
-        assert injector.failed == set()
-
-    def test_fraction_validation(self):
-        network = Network()
-        network.add_hosts(2)
-        with pytest.raises(ValueError):
-            FailureInjector(network).fail_random(1.5)
-
-    def test_injector_failure_between_rounds(self):
+class TestHostFaults:
+    def test_host_fault_between_rounds(self):
         """Failing a host mid-session only poisons deliveries to that host."""
         network = Network()
         network.add_hosts(4)
-        injector = FailureInjector(network)
         with network.rounds():
             before = network.post(0, 1)
             network.run_round()
-            injector.fail([1])
+            assert inject_host_faults(network, [1]) == [1]
             doomed = network.post(0, 1)
             unaffected = network.post(2, 3)
             report = network.run_round()
@@ -459,7 +406,7 @@ class TestFailureInjector:
             doomed.result()
         assert unaffected.result() is not None
         assert report.dropped == 1
-        injector.recover_all()
+        network.recover_host(1)
         with network.rounds():
             recovered = network.post(0, 1)
             network.run_round()

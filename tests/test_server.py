@@ -119,6 +119,7 @@ class TestClusters:
         assert body["structure"] == "skipweb1d"
         assert body["items_loaded"] == len(KEYS)
         assert body["operations"]["total"] == 0
+        assert "workers" not in body
 
     def test_create_run_delete(self, app):
         spec = {
@@ -160,6 +161,14 @@ class TestClusters:
         assert code == 400 and "bogus" in body["message"]
         code, body, _ = call(app, "POST", "/clusters", body={"name": "x"})
         assert code == 400 and "items" in body["message"]
+
+    def test_workers_key_is_rejected_like_any_unknown_key(self, app):
+        spec = {"name": "w", "generate": {"kind": "uniform", "count": 8}, "workers": 2}
+        code, body, _ = call(app, "POST", "/clusters", body=spec)
+        assert code == 400
+        assert "unknown cluster spec key(s) ['workers']" in body["message"]
+        code, _, _ = call(app, "GET", "/clusters/w")
+        assert code == 404
 
     def test_duplicate_name_is_rejected(self, app):
         code, body, _ = call(app, "POST", "/clusters", body={"name": "default", "items": [1.0]})

@@ -5,7 +5,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import Cluster
 from repro.errors import StructureError
+from repro.net.network import ledger_mode
 from repro.spatial.geometry import BoundingBox, HyperCube, point_distance
 from repro.spatial.nearest import approximate_nearest_neighbor, approximate_range_query
 from repro.spatial.quadtree import CompressedQuadtree
@@ -20,6 +22,18 @@ UNIT_CUBE = HyperCube((0.0, 0.0), 1.0)
 
 
 class TestGeometry:
+    def test_contains_within_reaches_the_bounding_far_face(self):
+        bound = HyperCube((0.00159399, 0.000556358), 0.99812721)
+        far_y = bound.lower[1] + bound.side
+        chain_cell = bound.child(3).child(2)  # shares bound's far y face
+        point = (0.510223846, far_y)
+        assert not chain_cell.contains_closed(point)  # lower + side rounds short
+        assert chain_cell.contains_within(point, bound)
+        assert not chain_cell.contains_within((0.510223846, far_y + 1e-9), bound)
+        inner_cell = bound.child(1)  # its far y face is bound's midline
+        above_midline = (0.6, inner_cell.lower[1] + inner_cell.side + 1e-12)
+        assert not inner_cell.contains_within(above_midline, bound)
+
     def test_cube_contains_half_open(self):
         cube = HyperCube((0.0, 0.0), 1.0)
         assert cube.contains((0.0, 0.5))
@@ -247,6 +261,41 @@ class TestSkipQuadtreeWeb:
             descent_conflicts(full, half, (rng.random(), rng.random())) for _ in range(40)
         ]
         assert sum(samples) / len(samples) <= 6
+
+
+class TestDefaultBoundingCube:
+    """``Cluster("skipquadtree", points)`` without an explicit cube.
+
+    The cube derived from the points carries the largest coordinate on
+    its far face, and an upper child's computed face (``lower + side``)
+    can round an ulp short of it.  Half of these seeds used to fail
+    construction with "escaped its child cell".
+    """
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_builds_and_answers_like_brute_force(self, seed):
+        points = [tuple(point) for point in uniform_points(1024, dimension=2, seed=seed)]
+        with ledger_mode():
+            cluster = Cluster("skipquadtree", points, seed=seed)
+        web = cluster.structure
+        web.web.validate()
+        rng = random.Random(seed)
+        extremes = sorted({max(points, key=lambda p: p[axis]) for axis in (0, 1)})
+        for point in extremes + rng.sample(points, 8):
+            assert cluster.nearest(point).value.answer.nearest_in_cell == point
+        cube = web.bounding_cube
+        for _ in range(8):
+            query = tuple(low + rng.random() * cube.side for low in cube.lower)
+            expected = min(points, key=lambda p: point_distance(p, query))
+            assert web.level0_tree.nearest_point(query) == expected
+            assert cluster.nearest(query).value.answer.cell.contains_within(query, cube)
+
+
+    @pytest.mark.parametrize("seed", [4, 7])
+    def test_quadtree_with_a_far_face_point_validates(self, seed):
+        points = uniform_points(1024, dimension=2, seed=seed)
+        tree = CompressedQuadtree(points, BoundingBox.around(points).to_cube())
+        tree.validate()
 
 
 class TestBoxRangeReporting:

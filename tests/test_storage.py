@@ -8,11 +8,13 @@ same property end-to-end through the CLI with a real SIGKILL).
 
 import json
 import os
+import shutil
 import sqlite3
 
 import pytest
 
 from repro.api import Cluster, available_structures
+from repro.engine import BatchExecutor
 from repro.errors import StorageError
 from repro.net.network import Network, ledger_mode
 from repro.onedim import SkipWeb1D
@@ -118,67 +120,60 @@ class TestKillAndRecoverEveryFamily:
         assert resumed == baseline
 
 
-class TestShardedDurability:
-    """Storage × sharded interplay: ``recover()`` under ``Cluster(workers=N)``.
+class TestLegacyWorkersJournal:
+    """Journals whose create record and snapshot config carry ``"workers"``.
 
-    The multi-worker executor must not perturb durability: a run whose
-    read-only batches fork through :class:`~repro.engine.sharded.ShardedExecutor`
-    journals the same records — and recovers to the same report — as the
-    serial executor, killed or not.
+    ``fixtures/workers2_journal`` was written by an earlier release that
+    could shard read-only batches across fork workers, with this script::
+
+        with ledger_mode():
+            cluster = Cluster("skipweb1d", uniform_keys(16, seed=5), seed=5,
+                              workers=2, storage=path, snapshot_every=4)
+            ... then the operations of _script below ...
+
+    Recovery ignores the stale key and replays on the serial path; the
+    counts it reproduces must match a fresh run of the same script.
     """
 
-    def _sharded(self, fn):
-        from repro.api.cluster import set_default_workers
+    FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "workers2_journal")
+    PROBES = (10.0, 123456.0, 5e5, 9.9e5)
 
-        set_default_workers(2)
-        try:
-            return fn()
-        finally:
-            set_default_workers(1)
+    @staticmethod
+    def _script(cluster):
+        keys = uniform_keys(16, seed=5)
+        cluster.batch([("search", q) for q in (10.0, 2.5e5, 5e5, 7.5e5, 9.9e5)])
+        cluster.batch([("range", (1e5, 4e5)), ("range", (6e5, 9e5))])
+        cluster.batch([("delete", keys[3]), ("delete", keys[9])])
+        cluster.join_host()
+        cluster.batch([("search", float(keys[3])), ("range", (0.0, 1e6))])
 
-    def test_kill_and_recover_sharded_is_byte_identical(self, tmp_path):
-        steps = 6
-        baseline = report_json(
-            run_workload(
-                "skipweb1d", steps=steps, seed=SEED, storage=str(tmp_path / "a.jsonl")
+    def _answers(self, cluster):
+        stats = cluster.stats().as_dict()
+        probes = [("search", q) for q in self.PROBES] + [("range", (0.0, 1e6))]
+        answers = [handle.value for handle in cluster.batch(probes)]
+        return stats, answers, content_digest(cluster.structure)
+
+    def _fresh(self, tmp_path):
+        with ledger_mode():
+            cluster = Cluster(
+                "skipweb1d",
+                uniform_keys(16, seed=5),
+                seed=5,
+                storage=str(tmp_path / "fresh"),
+                snapshot_every=4,
             )
-        )
-        store = str(tmp_path / "b.jsonl")
-        self._sharded(lambda: _partial_workload("skipweb1d", store, 3, steps))
-        resumed = self._sharded(lambda: report_json(resume_workload(store)))
-        assert resumed == baseline
+            self._script(cluster)
+            return self._answers(cluster)
 
-    def test_kill_and_recover_sharded_through_snapshot(self, tmp_path):
-        steps = 6
-        baseline = report_json(
-            run_workload(
-                "skipweb1d", steps=steps, seed=SEED, storage=str(tmp_path / "a.db")
-            )
-        )
-        store = str(tmp_path / "b.db")
-        self._sharded(
-            lambda: _partial_workload("skipweb1d", store, 4, steps, snapshot_every=2)
-        )
-        # Resume under serial defaults: the create record carries the
-        # worker count, so recovery replays on the sharded path anyway.
-        resumed = report_json(resume_workload(store))
-        assert resumed == baseline
-
-    def test_recover_restores_worker_count(self, tmp_path):
-        store = str(tmp_path / "log.jsonl")
-        cluster = Cluster(
-            structure="skipweb1d", items=KEYS, seed=3, storage=store, workers=2
-        )
-        cluster.batch([("search", float(i)) for i in range(8)])
-        cluster.batch([("insert", 1.5)])
-        digest = content_digest(cluster.structure)
-        messages = cluster.network.total_messages
-        cluster.close()
-        recovered = Cluster.recover(store)
-        assert recovered.workers == 2
-        assert content_digest(recovered.structure) == digest
-        assert recovered.network.total_messages == messages
-        recovered.close()
+    @pytest.mark.parametrize("from_snapshot", [True, False])
+    def test_recovers_like_a_fresh_serial_run(self, tmp_path, from_snapshot):
+        store = str(tmp_path / "legacy")
+        shutil.copytree(self.FIXTURE, store)
+        assert open_storage(store).records()[0].payload["workers"] == 2
+        with ledger_mode():
+            recovered = Cluster.recover(store, from_snapshot=from_snapshot)
+            assert isinstance(recovered.executor, BatchExecutor)
+            assert self._answers(recovered) == self._fresh(tmp_path)
 
 
 class TestSaveAndLoad:
@@ -445,22 +440,6 @@ class TestCommitHooks:
         ops, committed = calls[0]
         assert ops == tuple(operations)
         assert committed is result
-
-    def test_sharded_executor_fires_in_parent_only(self):
-        from repro.engine import Operation
-        from repro.engine.sharded import ShardedExecutor
-
-        web = SkipWeb1D(uniform_keys(32, seed=2), seed=2)
-        calls = []
-        executor = ShardedExecutor(
-            web, workers=2, on_commit=lambda ops, result: calls.append(ops)
-        )
-        assert executor._serial.on_commit is None  # fallback must not double-fire
-        read_only = [Operation("search", float(i)) for i in range(8)]
-        executor.run(read_only)
-        assert len(calls) == 1
-        executor.run([Operation("insert", 1.5)])  # falls back to serial
-        assert len(calls) == 2
 
     def test_journaled_batches_replay_through_executor(self, tmp_path):
         cluster, store = _journaled_cluster(tmp_path)
