@@ -100,6 +100,12 @@ class TestRegistry:
         with pytest.raises(StructureError, match="skipweb1d"):
             resolve_structure("btree")
 
+    def test_workers_option_is_gone(self):
+        # An unknown option reaches the structure factory, which rejects it.
+        with pytest.raises(StructureError, match="workers"):
+            Cluster(structure="skipweb1d", items=KEYS, **{"workers": 2})
+        assert isinstance(_cluster("skipweb1d").executor, BatchExecutor)
+
     def test_bucket_requires_memory_size(self):
         with pytest.raises(StructureError, match="memory_size"):
             Cluster(structure="bucket-skipweb1d", items=KEYS)

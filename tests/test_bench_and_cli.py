@@ -9,6 +9,7 @@ import pytest
 
 from repro.bench.experiments import (
     EXPERIMENTS,
+    _run_units,
     ablation_blocking,
     churn,
     congestion_rounds,
@@ -179,6 +180,17 @@ class TestExperiments:
             assert row["rounds"] > 0
             assert row["msgs_per_op"] > 0
             assert row["C_round_max"] >= 1
+
+    def test_run_units_keeps_submission_order(self):
+        units = [lambda index=index: [{"unit": index}] * index for index in range(4)]
+        assert _run_units(units) == [[{"unit": index}] * index for index in range(4)]
+        assert _run_units([]) == []
+
+    def test_forked_units_match_in_process_rows(self, monkeypatch):
+        forked = throughput(sizes=(32,), ops_per_size=24, seed=5)
+        # A one-CPU affinity mask keeps every unit in-process.
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
+        assert throughput(sizes=(32,), ops_per_size=24, seed=5) == forked
 
     def test_churn_rows_cover_all_instantiations_and_chord(self):
         rows = churn(sizes=(32,), events=3, ops_per_phase=12, seed=7)

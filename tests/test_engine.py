@@ -68,6 +68,32 @@ class TestSteps:
         assert network.message_log.count(MessageKind.UPDATE) == 1
         assert network.message_log.count(MessageKind.QUERY) == 0
 
+    def test_hop_to_the_current_host_is_free(self):
+        network = Network()
+        network.add_hosts(2)
+
+        def hop():
+            cursor = StepCursor(1)
+            yield from cursor.hop_to(1)
+            return cursor.hops, cursor.path
+
+        assert run_immediate(network, hop(), 1) == (0, [1])
+        assert network.total_messages == 0
+
+    def test_remote_visit_moves_the_cursor(self):
+        network = Network()
+        network.add_hosts(2)
+        address = network.store(1, "x")
+
+        def walk():
+            cursor = StepCursor(0)
+            value = yield from cursor.visit(address)
+            again = yield from cursor.visit(address)
+            return value, again, cursor.hops, cursor.current_host, cursor.path
+
+        assert run_immediate(network, walk(), 0) == ("x", "x", 1, 1, [0, 1])
+        assert network.message_log.count(MessageKind.QUERY) == 1
+
     def test_cursor_does_not_move_on_uncharged_resolution(self):
         """A cache-style resolution leaves the cursor (and cost) in place."""
         cursor = StepCursor(0)

@@ -390,6 +390,19 @@ class TestRoundMode:
 
 
 class TestHostFaults:
+    def test_inject_never_refails_and_reports_actual_victims(self):
+        network = Network()
+        network.add_hosts(4)
+        assert inject_host_faults(network, [1, 2]) == [1, 2]
+        epoch = network.membership_epoch
+        assert inject_host_faults(network, [2, 3, 99]) == [3]
+        assert network.membership_epoch == epoch + 1
+        assert network.failed_hosts == {1, 2, 3}
+        for host_id in (1, 2, 3):
+            network.recover_host(host_id)
+        assert network.failed_hosts == set()
+        assert inject_host_faults(network, []) == []
+
     def test_host_fault_between_rounds(self):
         """Failing a host mid-session only poisons deliveries to that host."""
         network = Network()

@@ -16,7 +16,11 @@ These tests pin that contract:
 * the fault-injection seam (``Cluster(faults=...)``) is invisible when
   left off: ``faults=None`` — implicit or explicit — reproduces every
   observable number and records zero fault tallies, for every
-  structure family.
+  structure family;
+* the serial round loop replays deterministically: the same items,
+  seed and batch reproduce every observable number, on either message
+  substrate, and a weighted topology re-prices messages without
+  changing any count.
 """
 
 from __future__ import annotations
@@ -486,3 +490,98 @@ class TestFlatTopologyIdentity:
         assert flat_congestion["weight"] == flat_congestion["messages"]
 
         assert default_cluster.stats().as_dict() == flat_cluster.stats().as_dict()
+
+
+def _run_family_batch(name, mode=ledger_mode, **extra):
+    """Build ``name``'s scenario cluster under ``mode`` and run its batch."""
+    with mode():
+        scenario = FAMILY_SCENARIOS[name]
+        cluster = Cluster(
+            structure=name,
+            items=scenario["items"],
+            seed=21,
+            **scenario["kwargs"],
+            **extra,
+        )
+        operations = [("search", payload) for payload in scenario["searches"]]
+        if scenario["range"] is not None:
+            operations.append(("range", scenario["range"]))
+        report = cluster.batch(operations)
+    return cluster, report
+
+
+def _observables(cluster, report):
+    """Every number a batch exposes: per-operation, per-round, lifetime."""
+    return {
+        "operations": [
+            (
+                handle.status,
+                handle.kind,
+                handle.origin_host,
+                handle.messages,
+                handle.rounds,
+                handle.retries,
+                handle.cache_hits,
+                handle.latency,
+                handle.value,
+                type(handle.error),
+            )
+            for handle in report
+        ],
+        "totals": (report.rounds, report.messages, report.max_round_congestion),
+        "summary": report.summary(),
+        "congestion": report.round_congestion().as_dict(),
+        "round_reports": [
+            (entry.index, entry.delivered, entry.max_load, entry.max_load_host)
+            for entry in report.raw.round_reports
+        ],
+        "stats": cluster.stats().as_dict(),
+    }
+
+
+class TestSerialReplay:
+    """The serial round loop is a deterministic function of its inputs.
+
+    Journal recovery from genesis and every byte-identity gate rely on
+    it: rebuilding a cluster from the same items and seed and replaying
+    the same batch must reproduce every observable number, whichever
+    message substrate records the traffic.
+    """
+
+    @pytest.mark.parametrize("name", sorted(FAMILY_SCENARIOS))
+    def test_every_family_replays_identically(self, name):
+        first = _observables(*_run_family_batch(name))
+        second = _observables(*_run_family_batch(name))
+        assert first == second
+        assert first["operations"]
+
+    @pytest.mark.parametrize("name", sorted(FAMILY_SCENARIOS))
+    def test_every_family_matches_the_traced_substrate(self, name):
+        traced = _observables(*_run_family_batch(name, mode=tracing_mode))
+        ledgered = _observables(*_run_family_batch(name, mode=ledger_mode))
+        assert traced == ledgered
+
+    @pytest.mark.parametrize("topology", ["clustered", "geo"])
+    def test_weighted_topology_reweights_without_recounting(self, topology):
+        default_cluster, default = _run_family_batch("skipweb1d")
+        weighted_cluster, weighted = _run_family_batch("skipweb1d", topology=topology)
+        again_cluster, again = _run_family_batch("skipweb1d", topology=topology)
+
+        # A weighted topology prices messages; it never adds or drops one.
+        for left, right in zip(default, weighted):
+            assert (left.status, left.messages, left.rounds, left.value) == (
+                right.status,
+                right.messages,
+                right.rounds,
+                right.value,
+            )
+        assert weighted.messages == default.messages
+        assert weighted.latency > weighted.messages
+        assert weighted_cluster.stats().as_dict() == default_cluster.stats().as_dict()
+
+        # ... and the weighted observables replay exactly.
+        assert _observables(weighted_cluster, weighted) == _observables(again_cluster, again)
+        assert (
+            weighted_cluster.network.topology_congestion_summary()
+            == again_cluster.network.topology_congestion_summary()
+        )
