@@ -24,7 +24,7 @@ The effect classes are deliberately *not* dataclasses: they are plain
 (:data:`OP_VISIT` / :data:`OP_HOP` / :data:`OP_FORK`), so drivers
 dispatch on one integer compare instead of an ``isinstance`` ladder and
 construction skips the dataclass ``__init__`` machinery.  This is the
-ledger hot path: every message the benchmarks count flows through
+counting hot path: every message the benchmarks count flows through
 :func:`_drive` or the executor's mirror of it.
 """
 

@@ -30,17 +30,11 @@ logical operations so that the paper's per-host congestion bounds
 (O(log n / log log n) w.h.p., Theorem 2) can be *measured per round*
 rather than inferred from pointer counts; see :mod:`repro.engine`.
 
-Two accounting substrates are supported as well.  With ``trace=True``
-(the default) every delivery materialises a :class:`Message` and flows
-through the :class:`MessageLog` exactly as before — what tests and
-debugging want.  With ``trace=False`` the network runs in **ledger
-mode**: deliveries bump integer counters (total, per-kind, per-host,
-per-round, per-measure snapshot) and allocate no message object, no log
-entry and no per-delivery ticket in the round fast path.  Every counter
-any benchmark reads — :class:`OperationStats`, :class:`RoundReport`
-aggregates, congestion summaries — is byte-identical between the two
-substrates; ledger mode only removes per-delivery allocation from the
-hot path (see DESIGN.md §6).
+Accounting is counters only: a delivery bumps integer tallies (per
+kind, per host, per round, per measured block) in the
+:class:`MessageLog` and the round state; no message object is built.
+The paper's costs are counts, and nothing reads a message's identity
+(see DESIGN.md §6).
 """
 
 from __future__ import annotations
@@ -57,72 +51,9 @@ from repro.errors import (
 )
 from repro.net.faults import FaultPlan, resolve_faults
 from repro.net.host import Host
-from repro.net.message import Message, MessageKind, MessageLog
+from repro.net.message import MessageKind, MessageLog
 from repro.net.naming import Address, HostId
 from repro.net.topology import Topology, resolve_topology
-
-#: Module-wide default for ``Network(trace=...)`` when the caller does not
-#: pass an explicit value.  Tests and interactive use keep full tracing;
-#: the experiment registry flips this to ledger mode for wall-clock speed
-#: (see :func:`ledger_mode`).
-_DEFAULT_TRACE = True
-#: Set by :func:`tracing_mode`: while locked, :func:`ledger_mode` is a
-#: no-op, so an outer "I need message objects" request (the CLI's
-#: ``--trace`` flag, a debugging session) wins over the experiment
-#: registry's blanket ledger default.
-_TRACE_LOCKED = False
-
-
-def set_default_trace(enabled: bool) -> None:
-    """Set the accounting substrate newly created networks default to."""
-    global _DEFAULT_TRACE
-    _DEFAULT_TRACE = bool(enabled)
-
-
-def default_trace() -> bool:
-    """The substrate a ``Network()`` created right now would use."""
-    return _DEFAULT_TRACE
-
-
-@contextmanager
-def ledger_mode() -> Iterator[None]:
-    """Create networks in ledger (``trace=False``) mode inside the block.
-
-    Only affects networks constructed without an explicit ``trace``
-    argument; an explicit ``Network(trace=True)`` still traces, and an
-    enclosing :func:`tracing_mode` block turns this into a no-op.  Nests
-    and restores the previous default on exit.
-    """
-    global _DEFAULT_TRACE
-    if _TRACE_LOCKED:
-        yield
-        return
-    previous = _DEFAULT_TRACE
-    _DEFAULT_TRACE = False
-    try:
-        yield
-    finally:
-        _DEFAULT_TRACE = previous
-
-
-@contextmanager
-def tracing_mode() -> Iterator[None]:
-    """Force full tracing for networks created inside the block.
-
-    The counterpart of :func:`ledger_mode`, used by the CLI's ``--trace``
-    flag to re-enable message objects under experiment functions that
-    default to the ledger substrate; nested :func:`ledger_mode` blocks
-    are suppressed while it is active.
-    """
-    global _DEFAULT_TRACE, _TRACE_LOCKED
-    previous = (_DEFAULT_TRACE, _TRACE_LOCKED)
-    _DEFAULT_TRACE = True
-    _TRACE_LOCKED = True
-    try:
-        yield
-    finally:
-        _DEFAULT_TRACE, _TRACE_LOCKED = previous
-
 
 @dataclass
 class OperationStats:
@@ -159,10 +90,7 @@ class RoundReport:
 
     ``per_host`` maps each host to the number of messages it received
     during the round — the directly-measured per-host per-round
-    congestion.  In ledger mode the dict is dropped after the round's
-    maximum is folded into ``max_load`` / ``max_load_host`` (so long
-    churn runs stop accumulating O(rounds × hosts) memory); the
-    aggregates every benchmark reads are identical either way.
+    congestion — and ``max_load`` / ``max_load_host`` are its maximum.
     ``dropped`` counts messages whose destination (or source) host had
     failed; those deliveries carry a :class:`HostFailedError` on their
     ticket instead of reaching the log.
@@ -179,7 +107,7 @@ class RoundReport:
     delivered: int
     per_host: dict[HostId, int]
     dropped: int = 0
-    max_load: int = -1
+    max_load: int = 0
     max_load_host: HostId | None = None
     weight: int = 0
     max_link_load: int = 0
@@ -195,64 +123,33 @@ class RoundReport:
     @property
     def max_host_load(self) -> int:
         """Largest number of messages any single host received this round."""
-        if self.max_load >= 0:
-            return self.max_load
-        return max(self.per_host.values(), default=0)
+        return self.max_load
 
 
 class PendingDelivery:
     """A queued message awaiting the next :meth:`Network.run_round`.
 
-    After the round runs, exactly one of ``delivered`` / ``error`` is set;
-    :meth:`result` re-raises the delivery error, if any, in the caller's
-    context (the :class:`~repro.engine.executor.BatchExecutor` uses this
-    to fail only the one in-flight operation that touched a dead host).
+    After the round runs, ``error`` holds the delivery error, if any;
+    :meth:`result` re-raises it in the caller's context (the
+    :class:`~repro.engine.executor.BatchExecutor` uses this to fail only
+    the one in-flight operation that touched a dead host).
     """
 
-    __slots__ = ("src", "dst", "kind", "payload", "delivered", "error", "deferred")
+    __slots__ = ("src", "dst", "kind", "error", "deferred")
 
-    def __init__(self, src: HostId, dst: HostId, kind: MessageKind, payload: Any) -> None:
+    def __init__(self, src: HostId, dst: HostId, kind: MessageKind) -> None:
         self.src = src
         self.dst = dst
         self.kind = kind
-        self.payload = payload
-        self.delivered: Message | None = None
         self.error: Exception | None = None
         # Set by a fault plan's "delay" verb: the ticket is parked for a
-        # later round and is not yet resolved (``delivered`` stays None
-        # in ledger mode even after success, so the flag — not the
-        # fields — is the executor's "still in flight" signal).
+        # later round and is not yet resolved.
         self.deferred = False
 
-    def result(self) -> Message | None:
-        """The delivered message, or raise the delivery error."""
+    def result(self) -> None:
+        """Return once delivered, or raise the delivery error."""
         if self.error is not None:
             raise self.error
-        return self.delivered
-
-
-class _DeliveredTicket:
-    """The shared always-succeeds ticket of the ledger-mode fast path.
-
-    When no host has failed at post time, ledger mode queues deliveries
-    as plain tuples and hands every caller this singleton instead of a
-    fresh :class:`PendingDelivery`.  Failures injected by the engine's
-    hooks happen *between* rounds (after delivery, before the next
-    posts), so any post that could observe a failed host takes the
-    ticketed slow path and error reporting is unchanged.
-    """
-
-    __slots__ = ()
-
-    #: The fast-path singleton is only handed out when no fault plan is
-    #: installed, so it can never be deferred.
-    deferred = False
-
-    def result(self) -> None:
-        return None
-
-
-_OK_TICKET = _DeliveredTicket()
 
 
 class Network:
@@ -265,13 +162,6 @@ class Network:
         no explicit limit is provided.  ``None`` (the default) leaves
         hosts unbounded, which is appropriate when memory usage is being
         measured rather than enforced.
-    keep_messages:
-        Whether the underlying :class:`MessageLog` stores message objects
-        (useful in tests) or only counters (faster for large benchmarks).
-    trace:
-        ``True`` (the default outside :func:`ledger_mode`) materialises a
-        :class:`Message` per delivery; ``False`` runs the zero-allocation
-        ledger substrate.  All counters are identical either way.
     round_report_retention:
         Keep at most this many full :class:`RoundReport` entries per round
         session (oldest dropped first); ``None`` keeps them all.  The
@@ -291,26 +181,13 @@ class Network:
     def __init__(
         self,
         default_memory_limit: int | None = None,
-        keep_messages: bool = False,
-        trace: bool | None = None,
         round_report_retention: int | None = None,
         topology: Topology | str | None = None,
         faults: FaultPlan | str | None = None,
     ) -> None:
         self.default_memory_limit = default_memory_limit
-        if trace is None:
-            # Asking for stored message objects implies the tracing
-            # substrate even under an ambient ledger_mode() default.
-            self._trace = True if keep_messages else _DEFAULT_TRACE
-        else:
-            self._trace = bool(trace)
-            if keep_messages and not self._trace:
-                raise ValueError(
-                    "keep_messages=True requires the tracing substrate; "
-                    "ledger mode (trace=False) never materialises messages"
-                )
         self._hosts: dict[HostId, Host] = {}
-        self._log = MessageLog(keep_messages=keep_messages)
+        self._log = MessageLog()
         self._next_host_id = 0
         self._measure_stack: list[OperationStats] = []
         self._failed_hosts: set[HostId] = set()
@@ -330,7 +207,6 @@ class Network:
         # Round-based delivery state (inactive in the default immediate mode).
         self._round_mode = False
         self._pending: list[PendingDelivery] = []
-        self._pending_fast: list[tuple[HostId, HostId, MessageKind]] = []
         self._round_index = 0
         self._round_per_host: dict[HostId, int] = {}
         self._round_delivered = 0
@@ -360,18 +236,13 @@ class Network:
         self._session_busiest_cluster: int | None = None
         self._session_busiest_cluster_load = 0
         # Fault injection (repro.net.faults).  ``None`` means no plan:
-        # the delivery fast paths stay enabled and every counter is
-        # byte-identical to a network built before the subsystem existed.
+        # every counter is byte-identical to a network built before the
+        # subsystem existed.
         self._faults = resolve_faults(faults)
         self._delayed: list[tuple[int, PendingDelivery]] = []
         self._round_injected_drops = 0
         self._round_duplicated = 0
         self._round_delayed = 0
-
-    @property
-    def trace(self) -> bool:
-        """Whether deliveries materialise :class:`Message` objects."""
-        return self._trace
 
     @property
     def topology(self) -> Topology | None:
@@ -400,10 +271,11 @@ class Network:
     def set_faults(self, faults: FaultPlan | str | None) -> None:
         """Install (or clear) the fault plan.
 
-        Must happen outside a round session: deliveries already queued on
-        the ledger fast path received the shared always-succeeds ticket
-        and could not report an injected fault.  With a plan installed
-        every post is ticketed, so faults always land on a real ticket.
+        Must happen outside a round session: the plan's round clock
+        (host crash schedules, deferred "delay" deliveries) and the
+        round's fault tallies are keyed to the session's round index, so
+        swapping plans mid-session would split one round's decisions
+        across two schedules and strand parked deliveries.
         """
         if self._round_mode:
             raise RuntimeError("cannot change the fault plan during a round session")
@@ -611,14 +483,11 @@ class Network:
         src: HostId,
         dst: HostId,
         kind: MessageKind = MessageKind.QUERY,
-        payload: Any = None,
-    ) -> Message | None:
-        """Record one message from ``src`` to ``dst``.
+    ) -> None:
+        """Charge one message from ``src`` to ``dst``.
 
-        Sending a message to oneself is free (returns ``None``) — the
-        paper only charges for *inter-host* communication.  In ledger
-        mode the delivery is counted but no :class:`Message` is created,
-        so the return value is ``None`` for remote sends as well.
+        Sending a message to oneself is free — the paper only charges for
+        *inter-host* communication.
 
         With a fault plan installed (and outside a round session, whose
         deliveries are decided in :meth:`run_round`), the plan decides
@@ -633,7 +502,7 @@ class Network:
             raise UnknownHostError(f"unknown destination host {dst}")
         self._check_alive(dst)
         if src == dst:
-            return None
+            return
         faults = self._faults
         if faults is not None and not self._round_mode:
             action = faults.decide(self, None, src, dst, kind)
@@ -646,20 +515,14 @@ class Network:
                     )
                 if verb == "duplicate":
                     self._log.note_duplicate()
-                    self._record_delivery(src, dst, kind, payload)
+                    self._record_delivery(src, dst, kind)
                 else:
                     self._log.note_delay()
-        return self._record_delivery(src, dst, kind, payload)
+        self._record_delivery(src, dst, kind)
 
-    def _record_delivery(
-        self, src: HostId, dst: HostId, kind: MessageKind, payload: Any
-    ) -> Message | None:
-        """Log one inter-host message and update measurement/round counters."""
-        if self._trace:
-            message = self._log.record(src=src, dst=dst, kind=kind, payload=payload)
-        else:
-            self._log.tally(src, dst, kind)
-            message = None
+    def _record_delivery(self, src: HostId, dst: HostId, kind: MessageKind) -> None:
+        """Count one inter-host message and update measurement/round counters."""
+        self._log.tally(src, dst, kind)
         cost = 0
         if self._topology is not None:
             cost = self._topology.link_cost(src, dst)
@@ -684,7 +547,6 @@ class Network:
                     self._round_per_cluster.get(cluster, 0) + cost
                 )
                 self._round_weight += cost
-        return message
 
     @property
     def message_log(self) -> MessageLog:
@@ -742,7 +604,7 @@ class Network:
         the raw material of
         :func:`repro.net.congestion.round_congestion_report`, computed in
         a single pass as rounds close instead of re-scanning the stored
-        reports (which ledger mode may have truncated).
+        reports (which ``round_report_retention`` may have truncated).
         """
         return (
             len(self._session_per_round_max),
@@ -798,7 +660,6 @@ class Network:
         self._round_delivered = 0
         self._round_reports = []
         self._pending = []
-        self._pending_fast = []
         self._delayed = []
         self._round_injected_drops = 0
         self._round_duplicated = 0
@@ -829,7 +690,6 @@ class Network:
                 self._close_round(dropped=0)
             self._round_mode = False
             self._pending = []
-            self._pending_fast = []
             self._delayed = []
             self._round_per_host = {}
             self._round_delivered = 0
@@ -845,22 +705,13 @@ class Network:
         src: HostId,
         dst: HostId,
         kind: MessageKind = MessageKind.QUERY,
-        payload: Any = None,
     ) -> PendingDelivery:
         """Queue one message for the next round; returns its delivery ticket.
 
         Host existence is validated immediately; host *liveness* is only
         checked at delivery time (a host may fail between posting and the
-        round running), in which case the ticket carries the
+        round running), in which case only that ticket carries the
         :class:`HostFailedError` instead of the whole round failing.
-
-        In ledger mode, while no host is marked failed, deliveries are
-        queued as plain tuples and the shared always-succeeds ticket is
-        returned — no per-delivery allocation.  The moment any host is
-        failed, posts fall back to real tickets so failure reporting is
-        exactly as in trace mode.  (The engine's failure hooks run
-        between rounds, so a post can never race a failure it should
-        have observed; see :class:`_DeliveredTicket`.)
         """
         if not self._round_mode:
             raise RuntimeError("post() requires round-based mode; see Network.rounds()")
@@ -868,15 +719,7 @@ class Network:
             raise UnknownHostError(f"unknown source host {src}")
         if dst not in self._hosts:
             raise UnknownHostError(f"unknown destination host {dst}")
-        if (
-            not self._trace
-            and not self._failed_hosts
-            and payload is None
-            and self._faults is None
-        ):
-            self._pending_fast.append((src, dst, kind))
-            return _OK_TICKET  # type: ignore[return-value]
-        ticket = PendingDelivery(src=src, dst=dst, kind=kind, payload=payload)
+        ticket = PendingDelivery(src=src, dst=dst, kind=kind)
         self._pending.append(ticket)
         return ticket
 
@@ -901,7 +744,6 @@ class Network:
         if faults is not None:
             faults.begin_round(self, self._round_index)
         pending, self._pending = self._pending, []
-        pending_fast, self._pending_fast = self._pending_fast, []
         if self._delayed:
             due = [ticket for when, ticket in self._delayed if when <= self._round_index]
             if due:
@@ -915,25 +757,8 @@ class Network:
                 pending = due + pending
         dropped = 0
         failed = self._failed_hosts
-        for src, dst, kind in pending_fast:
-            # Ledger fast path: tuples queued while no host was failed.
-            # A failure landing mid-assembly cannot be reported through
-            # the shared ticket these posts received, so it must not be
-            # swallowed either — fail loudly instead of silently
-            # diverging from what a traced ticket would have raised.
-            # (Unreachable from the engine: its failure hooks run
-            # between rounds, when nothing is queued.)
-            if failed and (src in failed or dst in failed):
-                raise RuntimeError(
-                    f"host failed between post() and run_round() with the ledger "
-                    f"fast path active (delivery {src} -> {dst}); inject "
-                    "mid-assembly failures on a trace=True network"
-                )
-            if src == dst:
-                continue
-            self._record_delivery(src, dst, kind, None)
         for ticket in pending:
-            failed_host = self._first_failed(ticket.src, ticket.dst)
+            failed_host = self._first_failed(ticket.src, ticket.dst) if failed else None
             if failed_host is not None:
                 ticket.deferred = False
                 ticket.error = HostFailedError(f"host {failed_host} has failed")
@@ -965,19 +790,13 @@ class Network:
                         self._round_delayed += 1
                         continue
                     # duplicate: the delivery is charged twice.
-                    ticket.delivered = self._record_delivery(
-                        ticket.src, ticket.dst, ticket.kind, ticket.payload
-                    )
-                    self._record_delivery(
-                        ticket.src, ticket.dst, ticket.kind, ticket.payload
-                    )
+                    self._record_delivery(ticket.src, ticket.dst, ticket.kind)
+                    self._record_delivery(ticket.src, ticket.dst, ticket.kind)
                     self._log.note_duplicate()
                     self._round_duplicated += 1
                     continue
             ticket.deferred = False
-            ticket.delivered = self._record_delivery(
-                ticket.src, ticket.dst, ticket.kind, ticket.payload
-            )
+            self._record_delivery(ticket.src, ticket.dst, ticket.kind)
         # ``_round_delivered`` counts every charged message attributed to
         # this round — queued deliveries and direct send() calls alike —
         # so the report stays consistent with ``per_host``.
@@ -1010,7 +829,7 @@ class Network:
         report = RoundReport(
             index=self._round_index,
             delivered=self._round_delivered,
-            per_host=per_host if self._trace else {},
+            per_host=per_host,
             dropped=dropped,
             max_load=max_load,
             max_load_host=max_load_host,
@@ -1090,11 +909,7 @@ class Network:
             # deliveries and backoff timers are keyed to the round clock,
             # so the clock must advance while operations sit idle.  Without
             # a plan the condition is unchanged (faults=None identity).
-            if (
-                self._pending
-                or self._pending_fast
-                or (self._faults is not None and (active or self._delayed))
-            ):
+            if self._pending or (self._faults is not None and (active or self._delayed)):
                 report = self.run_round()
                 reports.append(report)
                 if on_round is not None:

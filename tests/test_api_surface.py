@@ -1,7 +1,9 @@
-"""API-surface lock: ``repro.api.__all__`` and its public signatures.
+"""API-surface lock: ``repro.api.__all__``, ``repro.net.__all__`` and signatures.
 
 The names and signatures below are the *supported* surface declared by
-``repro.api`` (see its module docstring's stability policy).  This test
+``repro.api`` (see its module docstring's stability policy), plus the
+``repro.net`` exports and the ``Network`` constructor, so a new network
+option shows up here too.  This test
 runs in the CI lint job: changing the public API makes it fail, turning
 every surface change into an explicit, reviewed edit of this snapshot
 rather than an accident.
@@ -16,6 +18,7 @@ and paste the output over the constants below.
 import inspect
 
 import repro.api as api
+import repro.net as net
 from repro.api.results import OperationHandle
 
 EXPECTED_ALL = [
@@ -37,6 +40,40 @@ EXPECTED_ALL = [
     "resolve_topology",
     "FaultPlan",
     "FaultRule",
+    "resolve_faults",
+]
+
+EXPECTED_NET_ALL = [
+    "ChurnController",
+    "ChurnEvent",
+    "churn_schedule",
+    "Address",
+    "HostId",
+    "fresh_host_ids",
+    "MessageKind",
+    "MessageLog",
+    "Host",
+    "Network",
+    "OperationStats",
+    "PendingDelivery",
+    "RoundReport",
+    "Topology",
+    "FlatTopology",
+    "ClusteredTopology",
+    "GeoTopology",
+    "TOPOLOGY_NAMES",
+    "resolve_topology",
+    "topology_from_config",
+    "CongestionReport",
+    "RoundCongestionReport",
+    "congestion_report",
+    "round_congestion_report",
+    "summarize_round_reports",
+    "FaultPlan",
+    "FaultRule",
+    "FAULT_NAMES",
+    "faults_from_config",
+    "inject_host_faults",
     "resolve_faults",
 ]
 
@@ -129,6 +166,16 @@ EXPECTED_SIGNATURES = {
     "structure_specs": "() -> 'dict[str, StructureSpec]'",
 }
 
+#: Signatures resolved against ``repro.net`` rather than ``repro.api``.
+EXPECTED_NET_SIGNATURES = {
+    "Network.__init__": (
+        "(self, default_memory_limit: 'int | None' = None, "
+        "round_report_retention: 'int | None' = None, "
+        "topology: 'Topology | str | None' = None, "
+        "faults: 'FaultPlan | str | None' = None) -> 'None'"
+    ),
+}
+
 #: The fields an OperationHandle is guaranteed to carry.
 EXPECTED_HANDLE_FIELDS = [
     "kind",
@@ -146,14 +193,14 @@ EXPECTED_HANDLE_FIELDS = [
 ]
 
 
-def _actual_signatures() -> dict[str, str]:
+def _actual_signatures(module=api, expected=EXPECTED_SIGNATURES) -> dict[str, str]:
     actual = {}
-    for qualified in EXPECTED_SIGNATURES:
+    for qualified in expected:
         if "." in qualified:
             owner_name, attribute = qualified.split(".", 1)
-            target = getattr(getattr(api, owner_name), attribute)
+            target = getattr(getattr(module, owner_name), attribute)
         else:
-            target = getattr(api, qualified)
+            target = getattr(module, qualified)
         actual[qualified] = str(inspect.signature(target))
     return actual
 
@@ -164,13 +211,20 @@ def test_public_names_are_locked():
         assert hasattr(api, name)
 
 
+def test_net_names_are_locked():
+    assert list(net.__all__) == EXPECTED_NET_ALL
+    for name in net.__all__:
+        assert hasattr(net, name)
+
+
 def test_registered_structure_names_are_locked():
     assert api.available_structures() == EXPECTED_STRUCTURES
 
 
 def test_public_signatures_are_locked():
     actual = _actual_signatures()
-    for qualified, expected in EXPECTED_SIGNATURES.items():
+    actual.update(_actual_signatures(net, EXPECTED_NET_SIGNATURES))
+    for qualified, expected in {**EXPECTED_SIGNATURES, **EXPECTED_NET_SIGNATURES}.items():
         assert actual[qualified] == expected, (
             f"signature of {qualified} changed:\n"
             f"  expected {expected}\n  actual   {actual[qualified]}\n"
@@ -188,6 +242,9 @@ if __name__ == "__main__":
 
     if "--regenerate" in sys.argv:
         print("EXPECTED_ALL =", list(api.__all__))
+        print("EXPECTED_NET_ALL =", list(net.__all__))
         print("EXPECTED_STRUCTURES =", api.available_structures())
         for qualified, signature in _actual_signatures().items():
+            print(f'    "{qualified}": "{signature}",')
+        for qualified, signature in _actual_signatures(net, EXPECTED_NET_SIGNATURES).items():
             print(f'    "{qualified}": "{signature}",')

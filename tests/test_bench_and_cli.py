@@ -25,6 +25,7 @@ from repro.bench.experiments import (
 from repro.bench.fitting import GROWTH_LAWS, best_growth_law, fit_scale, growth_ratio
 from repro.bench.reporting import format_series, format_table
 from repro.cli import build_parser, main
+from repro.net import Network
 
 
 class TestFitting:
@@ -103,7 +104,7 @@ class TestExperiments:
         }
         assert set(EXPERIMENTS) == expected
 
-    def test_topology_rows_keep_messages_invariant(self):
+    def test_topology_rows_leave_message_counts_invariant(self):
         rows = topology_comparison(sizes=(32,), ops=8, seed=0)
         by_structure: dict = {}
         for row in rows:
@@ -249,6 +250,23 @@ class TestExperiments:
                 row["max_host_round_load"] / row["logn_loglogn"], abs=0.01
             )
 
+    def test_experiment_round_reports_keep_per_host(self, monkeypatch):
+        reports = []
+        run_round = Network.run_round
+
+        def recording(network):
+            report = run_round(network)
+            reports.append(report)
+            return report
+
+        monkeypatch.setattr(Network, "run_round", recording)
+        congestion_rounds(sizes=(32,), queries_per_host=1, seed=6)
+        assert reports
+        for report in reports:
+            assert report.per_host
+            assert sum(report.per_host.values()) == report.delivered
+            assert max(report.per_host.values()) == report.max_load
+
 
 class TestCli:
     def test_parser_lists_experiments(self):
@@ -332,6 +350,12 @@ class TestCli:
         assert payload["experiment"] == "faults"
         # Rate 0 is always included as the comparison baseline.
         assert {row["drop_rate"] for row in payload["rows"]} == {0.0, 0.2}
+
+    def test_cli_trace_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["all", "--trace"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --trace" in capsys.readouterr().err
 
     def test_cli_faults_flag_validation(self):
         with pytest.raises(SystemExit):

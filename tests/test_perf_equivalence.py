@@ -1,12 +1,10 @@
 """Count-equivalence guarantees of the wall-clock performance layer.
 
-The performance overhaul (ledger substrate, bulk-load construction,
-incremental level-structure updates, caches) must be invisible to the
-cost model: every message count, every benchmark row, byte for byte.
-These tests pin that contract:
+The performance overhaul (bulk-load construction, incremental
+level-structure updates, caches) must be invisible to the cost model:
+every message count, every benchmark row, byte for byte.  These tests
+pin that contract:
 
-* every gated experiment produces identical rows under ``trace=True``
-  and ``trace=False`` (the ledger substrate);
 * ``build_from_sorted`` + k inserts charges exactly what the plain
   constructor + the same k inserts charges, for every structure family;
 * the incremental ``with_item`` fast paths produce structures
@@ -18,9 +16,8 @@ These tests pin that contract:
   observable number and records zero fault tallies, for every
   structure family;
 * the serial round loop replays deterministically: the same items,
-  seed and batch reproduce every observable number, on either message
-  substrate, and a weighted topology re-prices messages without
-  changing any count.
+  seed and batch reproduce every observable number, and a weighted
+  topology re-prices messages without changing any count.
 """
 
 from __future__ import annotations
@@ -31,15 +28,9 @@ import pytest
 
 from repro.api import Cluster
 from repro.baselines import ChordDHT, SkipGraph
-from repro.bench.experiments import (
-    churn,
-    congestion_rounds,
-    range_queries,
-    throughput,
-    update_costs,
-)
+from repro.errors import HostFailedError
 from repro.net.message import MessageKind
-from repro.net.network import Network, ledger_mode, tracing_mode
+from repro.net.network import Network
 from repro.onedim import BucketSkipWeb1D, SkipWeb1D
 from repro.onedim.linked_list import SortedListStructure
 from repro.spatial.geometry import HyperCube
@@ -53,47 +44,6 @@ from repro.workloads import (
     uniform_points,
 )
 from repro.workloads.strings import random_strings
-
-
-class TestLedgerRowEquivalence:
-    """Every experiment row is byte-identical on either substrate."""
-
-    @pytest.mark.parametrize(
-        "experiment, params",
-        [
-            (throughput, {"sizes": (64,), "ops_per_size": 120, "seed": 0}),
-            (congestion_rounds, {"sizes": (64,), "queries_per_host": 1, "seed": 0}),
-            (
-                range_queries,
-                {"sizes": (48,), "target_ks": (4,), "queries_per_size": 3, "seed": 0},
-            ),
-            (update_costs, {"sizes": (64,), "updates_per_size": 4, "seed": 0}),
-            (churn, {"sizes": (48,), "events": 3, "ops_per_phase": 16, "seed": 0}),
-        ],
-        ids=["throughput", "congestion-rounds", "range-queries", "updates", "churn"],
-    )
-    def test_rows_identical_between_substrates(self, experiment, params):
-        with tracing_mode():
-            traced = experiment(**params)
-        with ledger_mode():
-            ledgered = experiment(**params)
-        assert traced == ledgered
-
-    def test_ledger_network_counts_match_traced(self):
-        for trace in (True, False):
-            network = Network(trace=trace, keep_messages=trace)
-            network.add_hosts(4)
-            with network.measure() as stats:
-                network.send(0, 1, MessageKind.QUERY)
-                network.send(1, 2, MessageKind.UPDATE)
-                network.send(2, 2, MessageKind.QUERY)  # self-send: free
-            assert stats.messages == 2
-            assert stats.count(MessageKind.QUERY) == 1
-            assert stats.count(MessageKind.UPDATE) == 1
-            assert network.total_messages == 2
-            assert network.message_log.received_by(1) == 1
-            # Only the traced substrate materialises message objects.
-            assert len(network.message_log.messages) == (2 if trace else 0)
 
 
 class TestBulkLoadEquivalence:
@@ -257,8 +207,8 @@ class TestNetworkCaches:
         assert 999 not in network.alive_host_ids()
 
     def test_round_report_retention_keeps_aggregates(self):
-        bounded = Network(trace=False, round_report_retention=2)
-        unbounded = Network(trace=True)
+        bounded = Network(round_report_retention=2)
+        unbounded = Network()
         for network in (bounded, unbounded):
             network.add_hosts(4)
             with network.rounds():
@@ -270,33 +220,34 @@ class TestNetworkCaches:
         assert len(unbounded.round_reports) == 5
         # The whole-session congestion aggregates are identical regardless.
         assert bounded.round_congestion_summary() == unbounded.round_congestion_summary()
-        # Ledger-mode reports drop the per-host dicts but keep the maxima.
+        # The retained reports keep their per-host dicts and maxima.
+        assert bounded.round_reports == unbounded.round_reports[-2:]
         for report in bounded.round_reports:
-            assert report.per_host == {}
-            assert report.max_host_load >= 1
+            assert report.per_host
+            assert report.max_host_load == max(report.per_host.values())
 
     def test_ledger_round_failure_reporting_still_works(self):
-        network = Network(trace=False)
+        network = Network()
         network.add_hosts(3)
         with network.rounds():
             healthy = network.post(0, 1)
-            network.run_round()
-            assert healthy.result() is None  # shared fast-path ticket
+            report = network.run_round()
+            healthy.result()  # delivered: no exception
+            assert report.delivered == 1
             network.fail_host(2)
             doomed = network.post(0, 2)
-            network.run_round()
-            with pytest.raises(Exception):
+            report = network.run_round()
+            with pytest.raises(HostFailedError):
                 doomed.result()
+            assert (report.delivered, report.dropped) == (0, 1)
 
     def test_batched_rows_identical_with_bounded_retention(self):
         keys = uniform_keys(48, seed=9)
         queries = uniform_keys(30, seed=10)
         from repro.engine import BatchExecutor, Operation
 
-        reference = SkipWeb1D(keys, network=Network(trace=True), seed=9)
-        bounded = SkipWeb1D(
-            keys, network=Network(trace=False, round_report_retention=4), seed=9
-        )
+        reference = SkipWeb1D(keys, network=Network(), seed=9)
+        bounded = SkipWeb1D(keys, network=Network(round_report_retention=4), seed=9)
         operations = [Operation("search", query) for query in queries]
         result_reference = BatchExecutor(reference).run(list(operations))
         result_bounded = BatchExecutor(bounded).run(list(operations))
@@ -372,11 +323,27 @@ FAMILY_SCENARIOS = {
 }
 
 
+def _run_family_batch(name, **extra):
+    """Build ``name``'s scenario cluster and run its batch."""
+    scenario = FAMILY_SCENARIOS[name]
+    cluster = Cluster(
+        structure=name,
+        items=scenario["items"],
+        seed=21,
+        **scenario["kwargs"],
+        **extra,
+    )
+    operations = [("search", payload) for payload in scenario["searches"]]
+    if scenario["range"] is not None:
+        operations.append(("range", scenario["range"]))
+    return cluster, cluster.batch(operations)
+
+
 class TestFaultFreeIdentity:
     """``faults=None`` changes no pre-existing number, for any family.
 
-    The fault-injection choke point sits inside every delivery on both
-    substrates, so its no-op contract is the whole subsystem's licence
+    The fault-injection choke point sits inside every delivery, so its
+    no-op contract is the whole subsystem's licence
     to exist: a cluster that never opted in must be byte-identical to
     one built before the subsystem landed.  The sweep pins per-operation
     stats, batch aggregates, round reports, deployment snapshots and the
@@ -384,27 +351,10 @@ class TestFaultFreeIdentity:
     ``faults=None`` spellings.
     """
 
-    @staticmethod
-    def _run_batch(name, **extra):
-        with ledger_mode():
-            scenario = FAMILY_SCENARIOS[name]
-            cluster = Cluster(
-                structure=name,
-                items=scenario["items"],
-                seed=21,
-                **scenario["kwargs"],
-                **extra,
-            )
-            operations = [("search", payload) for payload in scenario["searches"]]
-            if scenario["range"] is not None:
-                operations.append(("range", scenario["range"]))
-            report = cluster.batch(operations)
-        return cluster, report
-
     @pytest.mark.parametrize("name", sorted(FAMILY_SCENARIOS))
     def test_every_family_matches_implicit_default(self, name):
-        implicit_cluster, implicit = self._run_batch(name)
-        cluster, report = self._run_batch(name, faults=None)
+        implicit_cluster, implicit = _run_family_batch(name)
+        cluster, report = _run_family_batch(name, faults=None)
 
         assert cluster.faults is None
         assert len(report) == len(implicit)
@@ -428,8 +378,8 @@ class TestFaultFreeIdentity:
 class TestFlatTopologyIdentity:
     """An explicit ``FlatTopology`` changes no pre-refactor counter.
 
-    The topology seam's contract mirrors the ledger's: invisible until
-    you opt in.  A cluster constructed with
+    The topology seam's contract mirrors the fault plan's: invisible
+    until you opt in.  A cluster constructed with
     ``topology="flat"`` must reproduce every observable number of a
     cluster constructed without a topology — per-operation stats, batch
     aggregates, congestion reports, lifetime deployment snapshots — for
@@ -438,27 +388,10 @@ class TestFlatTopologyIdentity:
     per-cluster aggregates with all weights 1).
     """
 
-    @staticmethod
-    def _run_batch(name, topology):
-        with ledger_mode():
-            scenario = FAMILY_SCENARIOS[name]
-            cluster = Cluster(
-                structure=name,
-                items=scenario["items"],
-                seed=21,
-                topology=topology,
-                **scenario["kwargs"],
-            )
-            operations = [("search", payload) for payload in scenario["searches"]]
-            if scenario["range"] is not None:
-                operations.append(("range", scenario["range"]))
-            report = cluster.batch(operations)
-        return cluster, report
-
     @pytest.mark.parametrize("name", sorted(FAMILY_SCENARIOS))
     def test_every_family_matches_implicit_default(self, name):
-        default_cluster, default = self._run_batch(name, None)
-        flat_cluster, flat = self._run_batch(name, "flat")
+        default_cluster, default = _run_family_batch(name, topology=None)
+        flat_cluster, flat = _run_family_batch(name, topology="flat")
 
         assert len(default) == len(flat)
         for left, right in zip(default, flat):
@@ -490,24 +423,6 @@ class TestFlatTopologyIdentity:
         assert flat_congestion["weight"] == flat_congestion["messages"]
 
         assert default_cluster.stats().as_dict() == flat_cluster.stats().as_dict()
-
-
-def _run_family_batch(name, mode=ledger_mode, **extra):
-    """Build ``name``'s scenario cluster under ``mode`` and run its batch."""
-    with mode():
-        scenario = FAMILY_SCENARIOS[name]
-        cluster = Cluster(
-            structure=name,
-            items=scenario["items"],
-            seed=21,
-            **scenario["kwargs"],
-            **extra,
-        )
-        operations = [("search", payload) for payload in scenario["searches"]]
-        if scenario["range"] is not None:
-            operations.append(("range", scenario["range"]))
-        report = cluster.batch(operations)
-    return cluster, report
 
 
 def _observables(cluster, report):
@@ -544,8 +459,7 @@ class TestSerialReplay:
 
     Journal recovery from genesis and every byte-identity gate rely on
     it: rebuilding a cluster from the same items and seed and replaying
-    the same batch must reproduce every observable number, whichever
-    message substrate records the traffic.
+    the same batch must reproduce every observable number.
     """
 
     @pytest.mark.parametrize("name", sorted(FAMILY_SCENARIOS))
@@ -554,12 +468,6 @@ class TestSerialReplay:
         second = _observables(*_run_family_batch(name))
         assert first == second
         assert first["operations"]
-
-    @pytest.mark.parametrize("name", sorted(FAMILY_SCENARIOS))
-    def test_every_family_matches_the_traced_substrate(self, name):
-        traced = _observables(*_run_family_batch(name, mode=tracing_mode))
-        ledgered = _observables(*_run_family_batch(name, mode=ledger_mode))
-        assert traced == ledgered
 
     @pytest.mark.parametrize("topology", ["clustered", "geo"])
     def test_weighted_topology_reweights_without_recounting(self, topology):

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.api import Cluster
 from repro.errors import StructureError
-from repro.net.network import ledger_mode
 from repro.spatial.geometry import BoundingBox, HyperCube, point_distance
 from repro.spatial.nearest import approximate_nearest_neighbor, approximate_range_query
 from repro.spatial.quadtree import CompressedQuadtree
@@ -275,8 +274,7 @@ class TestDefaultBoundingCube:
     @pytest.mark.parametrize("seed", range(20))
     def test_builds_and_answers_like_brute_force(self, seed):
         points = [tuple(point) for point in uniform_points(1024, dimension=2, seed=seed)]
-        with ledger_mode():
-            cluster = Cluster("skipquadtree", points, seed=seed)
+        cluster = Cluster("skipquadtree", points, seed=seed)
         web = cluster.structure
         web.web.validate()
         rng = random.Random(seed)

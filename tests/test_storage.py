@@ -16,7 +16,7 @@ import pytest
 from repro.api import Cluster, available_structures
 from repro.engine import BatchExecutor
 from repro.errors import StorageError
-from repro.net.network import Network, ledger_mode
+from repro.net.network import Network
 from repro.onedim import SkipWeb1D
 from repro.storage import (
     FORMAT_VERSION,
@@ -28,6 +28,7 @@ from repro.storage import (
     decode_record,
     encode_record,
     open_storage,
+    restore_snapshot,
 )
 from repro.storage.workload import (
     _run_step,
@@ -51,15 +52,14 @@ def _partial_workload(structure, store, crash_after, steps, snapshot_every=0):
     """
     spec = workload_specs()[structure]
     items = spec.items(SEED)
-    with ledger_mode():
-        cluster = Cluster(
-            structure=structure,
-            items=items,
-            seed=SEED,
-            storage=store,
-            snapshot_every=snapshot_every,
-            **spec.kwargs(),
-        )
+    cluster = Cluster(
+        structure=structure,
+        items=items,
+        seed=SEED,
+        storage=store,
+        snapshot_every=snapshot_every,
+        **spec.kwargs(),
+    )
     cluster._workload_items = items
     cluster._durability.record_note(
         {"workload": {"structure": structure, "steps": steps, "seed": SEED}}
@@ -120,17 +120,43 @@ class TestKillAndRecoverEveryFamily:
         assert resumed == baseline
 
 
-class TestLegacyWorkersJournal:
+class _LegacyJournal:
+    """Shared run of a journal fixture written by an earlier release.
+
+    Subclasses set ``FIXTURE``, ``PROBES`` and the ``_script`` that wrote
+    the fixture on ``Cluster("skipweb1d", uniform_keys(16, seed=5),
+    seed=5, snapshot_every=4)`` plus a stale option.
+    """
+
+    def _answers(self, cluster):
+        stats = cluster.stats().as_dict()
+        probes = [("search", q) for q in self.PROBES] + [("range", (0.0, 1e6))]
+        answers = [handle.value for handle in cluster.batch(probes)]
+        return stats, answers, content_digest(cluster.structure)
+
+    def _fresh(self, tmp_path):
+        cluster = Cluster(
+            "skipweb1d",
+            uniform_keys(16, seed=5),
+            seed=5,
+            storage=str(tmp_path / "fresh"),
+            snapshot_every=4,
+        )
+        self._script(cluster)
+        return self._answers(cluster)
+
+    def _copy_fixture(self, tmp_path):
+        store = str(tmp_path / "legacy")
+        shutil.copytree(self.FIXTURE, store)
+        return store
+
+
+class TestLegacyWorkersJournal(_LegacyJournal):
     """Journals whose create record and snapshot config carry ``"workers"``.
 
     ``fixtures/workers2_journal`` was written by an earlier release that
-    could shard read-only batches across fork workers, with this script::
-
-        with ledger_mode():
-            cluster = Cluster("skipweb1d", uniform_keys(16, seed=5), seed=5,
-                              workers=2, storage=path, snapshot_every=4)
-            ... then the operations of _script below ...
-
+    could shard read-only batches across fork workers, with
+    ``workers=2`` (on the counters-only network of that release).
     Recovery ignores the stale key and replays on the serial path; the
     counts it reproduces must match a fresh run of the same script.
     """
@@ -147,33 +173,48 @@ class TestLegacyWorkersJournal:
         cluster.join_host()
         cluster.batch([("search", float(keys[3])), ("range", (0.0, 1e6))])
 
-    def _answers(self, cluster):
-        stats = cluster.stats().as_dict()
-        probes = [("search", q) for q in self.PROBES] + [("range", (0.0, 1e6))]
-        answers = [handle.value for handle in cluster.batch(probes)]
-        return stats, answers, content_digest(cluster.structure)
-
-    def _fresh(self, tmp_path):
-        with ledger_mode():
-            cluster = Cluster(
-                "skipweb1d",
-                uniform_keys(16, seed=5),
-                seed=5,
-                storage=str(tmp_path / "fresh"),
-                snapshot_every=4,
-            )
-            self._script(cluster)
-            return self._answers(cluster)
-
     @pytest.mark.parametrize("from_snapshot", [True, False])
     def test_recovers_like_a_fresh_serial_run(self, tmp_path, from_snapshot):
-        store = str(tmp_path / "legacy")
-        shutil.copytree(self.FIXTURE, store)
+        store = self._copy_fixture(tmp_path)
         assert open_storage(store).records()[0].payload["workers"] == 2
-        with ledger_mode():
-            recovered = Cluster.recover(store, from_snapshot=from_snapshot)
-            assert isinstance(recovered.executor, BatchExecutor)
-            assert self._answers(recovered) == self._fresh(tmp_path)
+        recovered = Cluster.recover(store, from_snapshot=from_snapshot)
+        assert isinstance(recovered.executor, BatchExecutor)
+        assert self._answers(recovered) == self._fresh(tmp_path)
+
+
+class TestLegacyTracedJournal(_LegacyJournal):
+    """Journals whose create record and snapshot config carry ``"trace"``.
+
+    ``fixtures/traced_journal`` was written, with ``PYTHONHASHSEED=0``, by
+    an earlier release whose networks could store a message object per
+    delivery (the default ``Cluster`` did).  Recovery ignores the stale
+    key; from the snapshot and from genesis alike it must reach the
+    state of a fresh run of the same script.
+    """
+
+    FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "traced_journal")
+    PROBES = (10.0, 123456.0, 5e5, 654321.0, 9.9e5)
+
+    @staticmethod
+    def _script(cluster):
+        keys = uniform_keys(16, seed=5)
+        cluster.get(10.0)
+        cluster.get(float(keys[4]))
+        cluster.delete(keys[3])
+        cluster.join_host()
+        cluster.insert(123456.0)
+        cluster.insert(654321.0)
+        cluster.get(123456.0)
+
+    @pytest.mark.parametrize("from_snapshot", [True, False])
+    def test_recovers_like_a_fresh_run(self, tmp_path, from_snapshot):
+        store = self._copy_fixture(tmp_path)
+        backend = open_storage(store)
+        assert backend.records()[0].payload["trace"] is True
+        manifest, blob = backend.latest_snapshot()
+        assert restore_snapshot(manifest, blob)["config"]["trace"] is True
+        recovered = Cluster.recover(store, from_snapshot=from_snapshot)
+        assert self._answers(recovered) == self._fresh(tmp_path)
 
 
 class TestSaveAndLoad:
