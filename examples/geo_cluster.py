@@ -64,20 +64,19 @@ def main() -> None:
     for i, row in enumerate(geo.weights):
         print(f"  from region {i}: {list(row)}")
 
-    summary = cluster.network.topology_congestion_summary()
-    src, dst = summary["busiest_link"]
+    congestion = report.round_congestion()
+    src, dst = congestion.busiest_link
+    busiest_round = congestion.per_round_max_link.index(congestion.max_link_round_load)
     print(
         f"\nbusiest link: {src} -> {dst} "
         f"(region {geo.cluster_of(src)} -> {geo.cluster_of(dst)}), "
-        f"load {summary['busiest_link_load']} in round "
-        f"{summary['busiest_link_round']}"
+        f"load {congestion.max_link_round_load} in round {busiest_round}"
     )
     print(
-        f"whole batch: weight {summary['weight']} over {summary['rounds']} rounds, "
-        f"busiest region {summary['busiest_cluster']} "
-        f"(load {summary['busiest_cluster_load']})"
+        f"whole batch: weight {congestion.total_weight} over {congestion.rounds} rounds, "
+        f"busiest region {congestion.busiest_cluster} "
+        f"(load {congestion.max_cluster_round_load})"
     )
-
 
 if __name__ == "__main__":
     main()

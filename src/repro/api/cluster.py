@@ -244,31 +244,24 @@ class Cluster:
         snapshot_every: int = 0,
         **options: Any,
     ) -> None:
-        if mode not in ("batched", "immediate"):
-            raise ValueError(f"mode must be 'batched' or 'immediate', got {mode!r}")
-        self.spec: StructureSpec = resolve_structure(structure)
-        self.mode = mode
-        self.seed = seed
-        self._hosts = hosts
-        self._memory_size = memory_size
-        self._options = dict(options)
-        self._network = network
-        self._topology = resolve_topology(topology, seed=seed)
-        self._faults = resolve_faults(faults, seed=seed)
-        self._round_budget = round_budget
-        self._route_cache = route_cache
-        self._max_retries = max_retries
-        self._churn_rng = churn_rng
-        self._join_fraction = join_fraction
-        self._min_hosts = min_hosts
-        self._structure: Any = None
-        self._executor: BatchExecutor | None = None
-        self._churn: ChurnController | None = None
-        self._repair_engine: RepairEngine | None = None
-        self._closed = False
-        self._close_lock = threading.Lock()
-        self._durability: DurabilityController | None = None
-        self._snapshot_every = snapshot_every
+        self._setup(
+            mode,
+            resolve_structure(structure),
+            seed=seed,
+            hosts=hosts,
+            memory_size=memory_size,
+            options=options,
+            network=network,
+            topology=resolve_topology(topology, seed=seed),
+            faults=resolve_faults(faults, seed=seed),
+            round_budget=round_budget,
+            route_cache=route_cache,
+            max_retries=max_retries,
+            churn_rng=churn_rng,
+            join_fraction=join_fraction,
+            min_hosts=min_hosts,
+            snapshot_every=snapshot_every,
+        )
         if storage is not None:
             self._check_storage_config()
             self._attach_durability(
@@ -291,6 +284,56 @@ class Cluster:
                 self.network.add_membership_listener(
                     self._durability.membership_listener
                 )
+
+    def _setup(
+        self,
+        mode: str,
+        spec: StructureSpec,
+        *,
+        seed: int = 0,
+        hosts: int | None = None,
+        memory_size: int | None = None,
+        options: Mapping[str, Any] | None = None,
+        network: Network | None = None,
+        topology: Topology | None = None,
+        faults: FaultPlan | None = None,
+        round_budget: int | None = None,
+        route_cache: bool = False,
+        max_retries: int = 5,
+        churn_rng: random.Random | None = None,
+        join_fraction: float = 0.5,
+        min_hosts: int = 2,
+        snapshot_every: int = 0,
+        structure: Any = None,
+        churn: ChurnController | None = None,
+        repair_engine: RepairEngine | None = None,
+    ) -> None:
+        """Set every attribute of a fresh façade; shared by all constructors."""
+        if mode not in ("batched", "immediate"):
+            raise ValueError(f"mode must be 'batched' or 'immediate', got {mode!r}")
+        self.spec = spec
+        self.mode = mode
+        self.seed = seed
+        self._hosts = hosts
+        self._memory_size = memory_size
+        self._options = dict(options or {})
+        self._network = network
+        self._topology = topology
+        self._faults = faults
+        self._round_budget = round_budget
+        self._route_cache = route_cache
+        self._max_retries = max_retries
+        self._churn_rng = churn_rng
+        self._join_fraction = join_fraction
+        self._min_hosts = min_hosts
+        self._snapshot_every = snapshot_every
+        self._structure = structure
+        self._churn = churn
+        self._repair_engine = repair_engine
+        self._executor: BatchExecutor | None = None
+        self._closed = False
+        self._close_lock = threading.Lock()
+        self._durability: DurabilityController | None = None
 
     def _check_storage_config(self) -> None:
         if not self.spec.durable:
@@ -387,29 +430,19 @@ class Cluster:
         for spec in exact or specs:
             if isinstance(structure, spec.cls):
                 cluster = cls.__new__(cls)
-                cluster.spec = spec
-                cluster.mode = mode
-                cluster.seed = 0
-                cluster._hosts = None
-                cluster._memory_size = None
-                cluster._options = {}
-                cluster._network = structure.network
-                cluster._topology = structure.network.topology
-                cluster._faults = structure.network.faults
-                cluster._round_budget = None
-                cluster._route_cache = route_cache
-                cluster._max_retries = max_retries
-                cluster._churn_rng = churn_rng
-                cluster._join_fraction = join_fraction
-                cluster._min_hosts = min_hosts
-                cluster._structure = structure
-                cluster._executor = None
-                cluster._churn = None
-                cluster._repair_engine = None
-                cluster._closed = False
-                cluster._close_lock = threading.Lock()
-                cluster._durability = None
-                cluster._snapshot_every = 0
+                cluster._setup(
+                    mode,
+                    spec,
+                    network=structure.network,
+                    topology=structure.network.topology,
+                    faults=structure.network.faults,
+                    route_cache=route_cache,
+                    max_retries=max_retries,
+                    churn_rng=churn_rng,
+                    join_fraction=join_fraction,
+                    min_hosts=min_hosts,
+                    structure=structure,
+                )
                 return cluster
         raise StructureError(
             f"{type(structure).__name__} is not a registered structure family"
@@ -905,35 +938,30 @@ class Cluster:
     ) -> "Cluster":
         config = state["config"]
         cluster = cls.__new__(cls)
-        cluster.spec = resolve_structure(structure_name)
-        cluster.mode = config["mode"]
-        cluster.seed = config["seed"]
-        cluster._hosts = config["hosts"]
-        cluster._memory_size = config["memory_size"]
-        cluster._options = dict(config["options"])
-        cluster._network = None
-        # The unpickled network carries the live topology instance; the
-        # config's portable dict is only kept for the facade's own record
-        # (and for the journal cross-check in recover()).
-        cluster._topology = topology_from_config(config.get("topology"))
-        # The live fault plan — mid-stream RNG state included — travels
-        # inside the pickled network, so replayed tails consume the same
-        # decision stream the pre-crash run would have.
-        cluster._faults = state["structure"].network.faults
-        cluster._round_budget = config.get("round_budget")
-        cluster._route_cache = False
-        cluster._max_retries = config["max_retries"]
-        cluster._churn_rng = None
-        cluster._join_fraction = config["join_fraction"]
-        cluster._min_hosts = config["min_hosts"]
-        cluster._structure = state["structure"]
-        cluster._executor = None
-        cluster._churn = state["churn"]
-        cluster._repair_engine = state["repair_engine"]
-        cluster._closed = False
-        cluster._close_lock = threading.Lock()
-        cluster._durability = None
-        cluster._snapshot_every = config.get("snapshot_every", 0)
+        cluster._setup(
+            config["mode"],
+            resolve_structure(structure_name),
+            seed=config["seed"],
+            hosts=config["hosts"],
+            memory_size=config["memory_size"],
+            options=config["options"],
+            # The unpickled network carries the live topology instance;
+            # the config's portable dict is only kept for the facade's
+            # own record (and for the journal cross-check in recover()).
+            topology=topology_from_config(config.get("topology")),
+            # The live fault plan — mid-stream RNG state included —
+            # travels inside the pickled network, so replayed tails
+            # consume the same decision stream the pre-crash run would.
+            faults=state["structure"].network.faults,
+            round_budget=config.get("round_budget"),
+            max_retries=config["max_retries"],
+            join_fraction=config["join_fraction"],
+            min_hosts=config["min_hosts"],
+            snapshot_every=config.get("snapshot_every", 0),
+            structure=state["structure"],
+            churn=state["churn"],
+            repair_engine=state["repair_engine"],
+        )
         return cluster
 
     @classmethod

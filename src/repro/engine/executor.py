@@ -60,11 +60,7 @@ from repro.errors import (
     ReproError,
     StructureError,
 )
-from repro.net.congestion import (
-    RoundCongestionReport,
-    round_congestion_report,
-    summarize_round_reports,
-)
+from repro.net.congestion import RoundCongestionReport, round_congestion_report
 from repro.net.message import MessageKind
 from repro.net.naming import Address, HostId
 from repro.net.network import PendingDelivery, RoundReport
@@ -134,19 +130,18 @@ class OpOutcome:
 class BatchResult:
     """Aggregate outcome of one :meth:`BatchExecutor.run` call.
 
-    ``round_reports`` holds the per-round detail, subject to the
-    network's ``round_report_retention``; ``congestion_summary`` is the
-    whole-session aggregate the network maintained as rounds closed, so
-    congestion numbers stay exact even when old reports were dropped.
+    ``round_reports`` holds every round of the batch's session;
+    ``congestion_summary`` is their fold by
+    :func:`~repro.net.congestion.round_congestion_report`.
     """
 
     outcomes: list[OpOutcome]
     rounds: int
     messages: int
+    congestion_summary: RoundCongestionReport
     round_reports: list[RoundReport] = field(default_factory=list)
     cache_hits: int = 0
     cache_misses: int = 0
-    congestion_summary: RoundCongestionReport | None = None
     latency: int = 0
 
     @property
@@ -178,15 +173,11 @@ class BatchResult:
     @property
     def max_round_congestion(self) -> int:
         """Worst per-host per-round delivery count observed during the batch."""
-        if self.congestion_summary is not None:
-            return self.congestion_summary.max_host_round_load
-        return max((report.max_host_load for report in self.round_reports), default=0)
+        return self.congestion_summary.max_host_round_load
 
     def round_congestion(self) -> RoundCongestionReport:
         """Full round-level congestion summary of the batch."""
-        if self.congestion_summary is not None:
-            return self.congestion_summary
-        return summarize_round_reports(self.round_reports)
+        return self.congestion_summary
 
     def summary(self) -> dict[str, Any]:
         """One benchmark-table row worth of aggregate numbers."""
@@ -375,10 +366,10 @@ class BatchExecutor:
             outcomes=[state.outcome for state in states],
             rounds=rounds,
             messages=stats.messages,
+            congestion_summary=round_congestion_report(self.network),
             round_reports=round_reports,
             cache_hits=self._cache_hits,
             cache_misses=self._cache_misses,
-            congestion_summary=round_congestion_report(self.network),
             latency=stats.latency,
         )
         if self.on_commit is not None:
@@ -724,10 +715,16 @@ class BatchExecutor:
         if state.outcome.operation.kind in ("insert", "delete"):
             self._cache.clear()
 
-    def _retry_or_fail(self, state: _InFlight, error: Exception) -> bool:
-        if state.outcome.retries >= self.max_retries:
-            self._fail(state, error)
-            return False
+    def _restart(self, state: _InFlight) -> None:
+        """Rewind ``state`` to a fresh attempt from its origin host.
+
+        A restart means some record the operation relied on changed
+        underneath it (or its delivery was lost) — possibly a record that
+        reached it through the route cache, e.g. after an update made
+        through the immediate API, which the executor cannot observe.
+        Every memoized copy is dropped so the retry re-fetches fresh state
+        instead of looping on the same stale record.
+        """
         state.outcome.retries += 1
         state.started = False
         state.gen = None
@@ -738,12 +735,13 @@ class BatchExecutor:
         state.current = state.outcome.origin_host
         state.first_remote_done = False
         state.warm_key = None
-        # A conflict means some record the operation relied on changed
-        # underneath it — possibly one that reached it through the route
-        # cache (e.g. an update made through the immediate API, which the
-        # executor cannot observe).  Drop every memoized copy so the retry
-        # re-fetches fresh state instead of looping on the same stale record.
         self._cache.clear()
+
+    def _retry_or_fail(self, state: _InFlight, error: Exception) -> bool:
+        if state.outcome.retries >= self.max_retries:
+            self._fail(state, error)
+            return False
+        self._restart(state)
         return self._advance(state, None)
 
     # ------------------------------------------------------------------ #
@@ -785,16 +783,6 @@ class BatchExecutor:
             state.outcome.terminal = "gave_up"
             self._fail(state, error)
             return False
-        state.outcome.retries += 1
-        state.started = False
-        state.gen = None
-        state.ticket = None
-        state.effect = None
-        state.branches = None
-        state.branch_error = None
-        state.current = state.outcome.origin_host
-        state.first_remote_done = False
-        state.warm_key = None
-        self._cache.clear()
+        self._restart(state)
         state.resume_round = self.network.rounds_completed + state.outcome.retries
         return True

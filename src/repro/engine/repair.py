@@ -62,23 +62,18 @@ class MigrationSummary:
 class RepairResult:
     """One churn-repair operation with its measured traffic.
 
-    ``round_reports`` is subject to the network's
-    ``round_report_retention``; ``max_round_load`` carries the
-    whole-session maximum regardless of how many reports were retained.
+    ``round_reports`` holds every round of the repair's session.
     """
 
     summary: MigrationSummary
     messages: int
     rounds: int
     round_reports: list[RoundReport] = field(default_factory=list)
-    max_round_load: int | None = None
 
     @property
     def max_round_congestion(self) -> int:
         """Worst per-host per-round delivery count during the repair."""
-        if self.max_round_load is not None:
-            return self.max_round_load
-        return max((report.max_host_load for report in self.round_reports), default=0)
+        return max((report.max_load for report in self.round_reports), default=0)
 
 
 class RepairEngine:
@@ -131,13 +126,11 @@ class RepairEngine:
                 summary = self._pump(gen)
             rounds = network.rounds_completed
             reports = network.round_reports
-        _rounds, _delivered, per_round_max, _host, _round = network.round_congestion_summary()
         return RepairResult(
             summary=summary,
             messages=stats.messages,
             rounds=rounds,
             round_reports=reports,
-            max_round_load=max(per_round_max, default=0),
         )
 
     def _pump(self, gen: StepGenerator) -> MigrationSummary:

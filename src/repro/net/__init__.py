@@ -47,7 +47,6 @@ from repro.net.congestion import (
     RoundCongestionReport,
     congestion_report,
     round_congestion_report,
-    summarize_round_reports,
 )
 from repro.net.faults import (
     FAULT_NAMES,
@@ -84,7 +83,6 @@ __all__ = [
     "RoundCongestionReport",
     "congestion_report",
     "round_congestion_report",
-    "summarize_round_reports",
     "FaultPlan",
     "FaultRule",
     "FAULT_NAMES",

@@ -22,7 +22,7 @@ O(log n / log log n) per host per round w.h.p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from statistics import mean
 
 from repro.net.naming import HostId
@@ -169,20 +169,23 @@ class RoundCongestionReport:
         return summary
 
 
-def summarize_round_reports(reports) -> RoundCongestionReport:
-    """Fold a sequence of :class:`~repro.net.network.RoundReport` into one summary.
+def round_congestion_report(network) -> RoundCongestionReport:
+    """Fold the round reports of the network's last round session into one summary.
 
-    A single pass over the reports: every report already carries its own
-    per-round maximum (``max_load`` / ``max_load_host``, computed when the
-    round closed), so no per-host dictionaries are re-scanned here.
+    A single pass over ``network.round_reports``, the only record of a
+    session: every report already carries its own per-round maxima
+    (``max_load`` / ``max_link_load`` / ``max_cluster_load``, computed
+    when the round closed), so no per-host dictionaries are re-scanned
+    here.  The weighted dimension is reported whenever the network has
+    an explicit topology, so a topology session with zero rounds still
+    reads ``topology_aware``.  Empty when the network has only ever run
+    in immediate mode.
     """
     per_round_max: list[int] = []
     busiest_host: HostId | None = None
     busiest_round: int | None = None
     best = 0
     total = 0
-    count = 0
-    aware = False
     total_weight = 0
     per_round_max_link: list[int] = []
     per_round_max_cluster: list[int] = []
@@ -190,8 +193,7 @@ def summarize_round_reports(reports) -> RoundCongestionReport:
     busiest_cluster: int | None = None
     best_link = 0
     best_cluster = 0
-    for report in reports:
-        count += 1
+    for report in network.round_reports:
         load = report.max_load
         per_round_max.append(load)
         total += report.delivered
@@ -199,11 +201,6 @@ def summarize_round_reports(reports) -> RoundCongestionReport:
             best = load
             busiest_host = report.max_load_host
             busiest_round = report.index
-        # Rounds recorded under an explicit topology carry the weighted
-        # per-link / per-cluster maxima; flat-default rounds keep the
-        # zero defaults and leave the weighted summary empty.
-        if report.weight or report.max_link is not None:
-            aware = True
         total_weight += report.weight
         per_round_max_link.append(report.max_link_load)
         per_round_max_cluster.append(report.max_cluster_load)
@@ -213,52 +210,21 @@ def summarize_round_reports(reports) -> RoundCongestionReport:
         if report.max_cluster_load > best_cluster:
             best_cluster = report.max_cluster_load
             busiest_cluster = report.max_cluster
-    return RoundCongestionReport(
-        rounds=count,
+    flat = RoundCongestionReport(
+        rounds=len(per_round_max),
         total_messages=total,
         per_round_max=tuple(per_round_max),
         busiest_host=busiest_host,
         busiest_round=busiest_round,
-        total_weight=total_weight if aware else 0,
-        per_round_max_link=tuple(per_round_max_link) if aware else (),
-        per_round_max_cluster=tuple(per_round_max_cluster) if aware else (),
+    )
+    if network.topology is None:
+        return flat
+    return replace(
+        flat,
+        total_weight=total_weight,
+        per_round_max_link=tuple(per_round_max_link),
+        per_round_max_cluster=tuple(per_round_max_cluster),
         busiest_link=busiest_link,
         busiest_cluster=busiest_cluster,
-        topology_aware=aware,
-    )
-
-
-def round_congestion_report(network) -> RoundCongestionReport:
-    """Summarise the per-host per-round deliveries of the last round session.
-
-    Reads the running aggregates the network maintains as each round
-    closes (see :meth:`repro.net.network.Network.round_congestion_summary`),
-    so the summary is O(rounds) even when ``round_report_retention``
-    truncated the stored report list.  Empty when the network has only
-    ever run in immediate mode.
-    """
-    rounds, delivered, per_round_max, busiest_host, busiest_round = (
-        network.round_congestion_summary()
-    )
-    weighted = network.topology_congestion_summary()
-    if weighted is None:
-        return RoundCongestionReport(
-            rounds=rounds,
-            total_messages=delivered,
-            per_round_max=per_round_max,
-            busiest_host=busiest_host,
-            busiest_round=busiest_round,
-        )
-    return RoundCongestionReport(
-        rounds=rounds,
-        total_messages=delivered,
-        per_round_max=per_round_max,
-        busiest_host=busiest_host,
-        busiest_round=busiest_round,
-        total_weight=weighted["weight"],
-        per_round_max_link=weighted["per_round_max_link"],
-        per_round_max_cluster=weighted["per_round_max_cluster"],
-        busiest_link=weighted["busiest_link"],
-        busiest_cluster=weighted["busiest_cluster"],
         topology_aware=True,
     )

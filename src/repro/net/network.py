@@ -162,11 +162,6 @@ class Network:
         no explicit limit is provided.  ``None`` (the default) leaves
         hosts unbounded, which is appropriate when memory usage is being
         measured rather than enforced.
-    round_report_retention:
-        Keep at most this many full :class:`RoundReport` entries per round
-        session (oldest dropped first); ``None`` keeps them all.  The
-        running congestion aggregates (:meth:`round_congestion_summary`)
-        cover the whole session regardless.
     topology:
         Link-cost model: a :class:`~repro.net.topology.Topology`
         instance, one of the names ``"flat"`` / ``"clustered"`` /
@@ -181,7 +176,6 @@ class Network:
     def __init__(
         self,
         default_memory_limit: int | None = None,
-        round_report_retention: int | None = None,
         topology: Topology | str | None = None,
         faults: FaultPlan | str | None = None,
     ) -> None:
@@ -204,45 +198,24 @@ class Network:
         # alive_host_ids() cache, invalidated by membership-epoch bumps.
         self._alive_cache: list[HostId] = []
         self._alive_cache_epoch = -1
-        # Round-based delivery state (inactive in the default immediate mode).
+        # Round-based delivery state (inactive in the default immediate
+        # mode).  The stored reports are the only record of a session;
+        # repro.net.congestion.round_congestion_report folds them.
         self._round_mode = False
         self._pending: list[PendingDelivery] = []
         self._round_index = 0
-        self._round_per_host: dict[HostId, int] = {}
-        self._round_delivered = 0
         self._round_reports: list[RoundReport] = []
-        self._round_report_retention = round_report_retention
-        # Whole-session congestion aggregates, maintained round by round so
-        # summaries never have to re-scan the stored reports.
-        self._session_per_round_max: list[int] = []
-        self._session_delivered = 0
-        self._session_busiest_host: HostId | None = None
-        self._session_busiest_round: int | None = None
-        self._session_busiest_load = 0
         # Topology-aware accounting.  ``None`` means the implicit flat
-        # model: link_cost() answers 1 and none of the weighted state
-        # below is ever touched, keeping the default hot paths (and their
+        # model: link_cost() answers 1 and the weighted per-round tallies
+        # are never touched, keeping the default hot paths (and their
         # counters) byte-identical to the pre-topology network.
         self._topology = resolve_topology(topology)
-        self._round_per_link: dict[tuple[HostId, HostId], int] = {}
-        self._round_per_cluster: dict[int, int] = {}
-        self._round_weight = 0
-        self._session_weight = 0
-        self._session_per_round_max_link: list[int] = []
-        self._session_per_round_max_cluster: list[int] = []
-        self._session_busiest_link: tuple[HostId, HostId] | None = None
-        self._session_busiest_link_load = 0
-        self._session_busiest_link_round: int | None = None
-        self._session_busiest_cluster: int | None = None
-        self._session_busiest_cluster_load = 0
         # Fault injection (repro.net.faults).  ``None`` means no plan:
         # every counter is byte-identical to a network built before the
         # subsystem existed.
         self._faults = resolve_faults(faults)
         self._delayed: list[tuple[int, PendingDelivery]] = []
-        self._round_injected_drops = 0
-        self._round_duplicated = 0
-        self._round_delayed = 0
+        self._reset_round()
 
     @property
     def topology(self) -> Topology | None:
@@ -303,28 +276,18 @@ class Network:
 
     def __setstate__(self, state: dict[str, Any]) -> None:
         self.__dict__.update(state)
+        # Attributes of older blobs that this class no longer reads (the
+        # running session aggregates and their retention bound) are ignored.
         if "_topology" not in state:
             # Blob pickled before the topology seam existed: restore it
-            # onto the implicit flat default with empty weighted state.
+            # onto the implicit flat default with empty weighted tallies.
             self._topology = None
-            self._round_per_link = {}
-            self._round_per_cluster = {}
-            self._round_weight = 0
-            self._session_weight = 0
-            self._session_per_round_max_link = []
-            self._session_per_round_max_cluster = []
-            self._session_busiest_link = None
-            self._session_busiest_link_load = 0
-            self._session_busiest_link_round = None
-            self._session_busiest_cluster = None
-            self._session_busiest_cluster_load = 0
+            self._reset_round()
         if "_faults" not in state:
             # Blob pickled before the fault-injection seam existed.
             self._faults = None
             self._delayed = []
-            self._round_injected_drops = 0
-            self._round_duplicated = 0
-            self._round_delayed = 0
+            self._reset_round()
 
     # ------------------------------------------------------------------ #
     # membership event listeners
@@ -589,55 +552,11 @@ class Network:
     def round_reports(self) -> list[RoundReport]:
         """Per-round delivery reports of the current / most recent round session.
 
-        Subject to ``round_report_retention``; the whole-session
-        aggregates live in :meth:`round_congestion_summary` either way.
+        Every round of the session is kept; these reports are the only
+        record of its congestion, folded by
+        :func:`repro.net.congestion.round_congestion_report`.
         """
         return list(self._round_reports)
-
-    def round_congestion_summary(
-        self,
-    ) -> tuple[int, int, tuple[int, ...], HostId | None, int | None]:
-        """Whole-session congestion aggregates, maintained incrementally.
-
-        Returns ``(rounds, delivered, per_round_max, busiest_host,
-        busiest_round)`` for the current / most recent round session —
-        the raw material of
-        :func:`repro.net.congestion.round_congestion_report`, computed in
-        a single pass as rounds close instead of re-scanning the stored
-        reports (which ``round_report_retention`` may have truncated).
-        """
-        return (
-            len(self._session_per_round_max),
-            self._session_delivered,
-            tuple(self._session_per_round_max),
-            self._session_busiest_host,
-            self._session_busiest_round,
-        )
-
-    def topology_congestion_summary(self) -> dict[str, Any] | None:
-        """Weighted (topology-aware) session aggregates, or ``None``.
-
-        ``None`` on a network without an explicit topology — the
-        per-link / per-cluster dimension is only tracked when a
-        :class:`~repro.net.topology.Topology` is installed.  Otherwise a
-        dict of whole-session aggregates mirroring
-        :meth:`round_congestion_summary` in the weighted dimension:
-        total delivered ``weight``, per-round maxima and the busiest
-        link / cluster with their loads.
-        """
-        if self._topology is None:
-            return None
-        return {
-            "rounds": len(self._session_per_round_max_link),
-            "weight": self._session_weight,
-            "per_round_max_link": tuple(self._session_per_round_max_link),
-            "per_round_max_cluster": tuple(self._session_per_round_max_cluster),
-            "busiest_link": self._session_busiest_link,
-            "busiest_link_load": self._session_busiest_link_load,
-            "busiest_link_round": self._session_busiest_link_round,
-            "busiest_cluster": self._session_busiest_cluster,
-            "busiest_cluster_load": self._session_busiest_cluster_load,
-        }
 
     @contextmanager
     def rounds(self) -> Iterator["Network"]:
@@ -656,30 +575,10 @@ class Network:
             raise RuntimeError("network is already in round-based mode")
         self._round_mode = True
         self._round_index = 0
-        self._round_per_host = {}
-        self._round_delivered = 0
         self._round_reports = []
         self._pending = []
         self._delayed = []
-        self._round_injected_drops = 0
-        self._round_duplicated = 0
-        self._round_delayed = 0
-        self._session_per_round_max = []
-        self._session_delivered = 0
-        self._session_busiest_host = None
-        self._session_busiest_round = None
-        self._session_busiest_load = 0
-        self._round_per_link = {}
-        self._round_per_cluster = {}
-        self._round_weight = 0
-        self._session_weight = 0
-        self._session_per_round_max_link = []
-        self._session_per_round_max_cluster = []
-        self._session_busiest_link = None
-        self._session_busiest_link_load = 0
-        self._session_busiest_link_round = None
-        self._session_busiest_cluster = None
-        self._session_busiest_cluster_load = 0
+        self._reset_round()
         try:
             yield self
         finally:
@@ -691,14 +590,18 @@ class Network:
             self._round_mode = False
             self._pending = []
             self._delayed = []
-            self._round_per_host = {}
-            self._round_delivered = 0
-            self._round_per_link = {}
-            self._round_per_cluster = {}
-            self._round_weight = 0
-            self._round_injected_drops = 0
-            self._round_duplicated = 0
-            self._round_delayed = 0
+            self._reset_round()
+
+    def _reset_round(self) -> None:
+        """Clear the tallies of the round being assembled."""
+        self._round_per_host: dict[HostId, int] = {}
+        self._round_delivered = 0
+        self._round_per_link: dict[tuple[HostId, HostId], int] = {}
+        self._round_per_cluster: dict[int, int] = {}
+        self._round_weight = 0
+        self._round_injected_drops = 0
+        self._round_duplicated = 0
+        self._round_delayed = 0
 
     def post(
         self,
@@ -803,7 +706,7 @@ class Network:
         return self._close_round(dropped=dropped)
 
     def _close_round(self, dropped: int) -> RoundReport:
-        """Fold the assembling round into a report and the session aggregates."""
+        """Fold the assembling round into its report and start the next round."""
         per_host = self._round_per_host
         max_load = 0
         max_load_host: HostId | None = None
@@ -843,35 +746,8 @@ class Network:
             delayed=self._round_delayed,
         )
         self._round_reports.append(report)
-        retention = self._round_report_retention
-        if retention is not None and len(self._round_reports) > retention:
-            del self._round_reports[: len(self._round_reports) - retention]
-        self._session_per_round_max.append(max_load)
-        self._session_delivered += self._round_delivered
-        if max_load > self._session_busiest_load:
-            self._session_busiest_load = max_load
-            self._session_busiest_host = max_load_host
-            self._session_busiest_round = self._round_index
-        if self._topology is not None:
-            self._session_weight += weight
-            self._session_per_round_max_link.append(max_link_load)
-            self._session_per_round_max_cluster.append(max_cluster_load)
-            if max_link_load > self._session_busiest_link_load:
-                self._session_busiest_link_load = max_link_load
-                self._session_busiest_link = max_link
-                self._session_busiest_link_round = self._round_index
-            if max_cluster_load > self._session_busiest_cluster_load:
-                self._session_busiest_cluster_load = max_cluster_load
-                self._session_busiest_cluster = max_cluster
-            self._round_per_link = {}
-            self._round_per_cluster = {}
-            self._round_weight = 0
         self._round_index += 1
-        self._round_per_host = {}
-        self._round_delivered = 0
-        self._round_injected_drops = 0
-        self._round_duplicated = 0
-        self._round_delayed = 0
+        self._reset_round()
         return report
 
     def run_rounds(

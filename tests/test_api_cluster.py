@@ -225,6 +225,16 @@ class TestClusterOperations:
         with pytest.raises(StructureError, match="not a registered"):
             Cluster.from_structure(object())
 
+    def test_every_constructor_rejects_an_unknown_mode(self):
+        web = SkipWeb1D(KEYS, seed=3)
+        with pytest.raises(ValueError, match="mode must be"):
+            Cluster(structure="skipweb1d", items=KEYS, mode="batchd")
+        with pytest.raises(ValueError, match="mode must be"):
+            Cluster.from_structure(web, mode="batchd")
+        batched = Cluster.from_structure(web, mode="batched")
+        assert batched.mode == "batched"
+        assert batched.get(KEYS[0]).ok
+
     def test_from_structure_prefers_exact_class_over_base_family(self):
         from repro.baselines import SkipNet
 

@@ -2,8 +2,10 @@
 
 The names and signatures below are the *supported* surface declared by
 ``repro.api`` (see its module docstring's stability policy), plus the
-``repro.net`` exports and the ``Network`` constructor, so a new network
-option shows up here too.  This test
+``repro.net`` exports, the ``Network`` constructor and public members,
+and the fields of the engine's ``BatchResult`` and ``RepairResult``, so
+a new (or removed) network option, method or result field shows up here
+too.  This test
 runs in the CI lint job: changing the public API makes it fail, turning
 every surface change into an explicit, reviewed edit of this snapshot
 rather than an accident.
@@ -20,6 +22,7 @@ import inspect
 import repro.api as api
 import repro.net as net
 from repro.api.results import OperationHandle
+from repro.engine import BatchResult, RepairResult
 
 EXPECTED_ALL = [
     "Cluster",
@@ -68,7 +71,6 @@ EXPECTED_NET_ALL = [
     "RoundCongestionReport",
     "congestion_report",
     "round_congestion_report",
-    "summarize_round_reports",
     "FaultPlan",
     "FaultRule",
     "FAULT_NAMES",
@@ -170,7 +172,6 @@ EXPECTED_SIGNATURES = {
 EXPECTED_NET_SIGNATURES = {
     "Network.__init__": (
         "(self, default_memory_limit: 'int | None' = None, "
-        "round_report_retention: 'int | None' = None, "
         "topology: 'Topology | str | None' = None, "
         "faults: 'FaultPlan | str | None' = None) -> 'None'"
     ),
@@ -191,6 +192,64 @@ EXPECTED_HANDLE_FIELDS = [
     "index",
     "latency",
 ]
+
+
+#: Public members (methods and properties) of ``Network``, sorted.
+EXPECTED_NETWORK_MEMBERS = [
+    "add_host",
+    "add_hosts",
+    "add_membership_listener",
+    "alive_host_ids",
+    "fail_host",
+    "failed_hosts",
+    "faults",
+    "free",
+    "host",
+    "host_count",
+    "hosts",
+    "in_round_mode",
+    "link_cost",
+    "load",
+    "max_memory_used",
+    "measure",
+    "membership_epoch",
+    "memory_profile",
+    "message_log",
+    "post",
+    "recover_host",
+    "remove_host",
+    "remove_membership_listener",
+    "replace",
+    "reset_counters",
+    "round_reports",
+    "rounds",
+    "rounds_completed",
+    "run_round",
+    "run_rounds",
+    "send",
+    "set_faults",
+    "set_topology",
+    "store",
+    "topology",
+    "total_messages",
+]
+
+#: Fields of the engine's batch and repair results, in declaration order.
+EXPECTED_BATCH_RESULT_FIELDS = [
+    "outcomes",
+    "rounds",
+    "messages",
+    "congestion_summary",
+    "round_reports",
+    "cache_hits",
+    "cache_misses",
+    "latency",
+]
+EXPECTED_REPAIR_RESULT_FIELDS = ["summary", "messages", "rounds", "round_reports"]
+
+
+def _network_members() -> list[str]:
+    return sorted(name for name in vars(net.Network) if not name.startswith("_"))
 
 
 def _actual_signatures(module=api, expected=EXPECTED_SIGNATURES) -> dict[str, str]:
@@ -237,6 +296,15 @@ def test_operation_handle_fields_are_locked():
     assert fields == EXPECTED_HANDLE_FIELDS
 
 
+def test_network_members_are_locked():
+    assert _network_members() == EXPECTED_NETWORK_MEMBERS
+
+
+def test_engine_result_fields_are_locked():
+    assert list(BatchResult.__dataclass_fields__) == EXPECTED_BATCH_RESULT_FIELDS
+    assert list(RepairResult.__dataclass_fields__) == EXPECTED_REPAIR_RESULT_FIELDS
+
+
 if __name__ == "__main__":
     import sys
 
@@ -244,6 +312,9 @@ if __name__ == "__main__":
         print("EXPECTED_ALL =", list(api.__all__))
         print("EXPECTED_NET_ALL =", list(net.__all__))
         print("EXPECTED_STRUCTURES =", api.available_structures())
+        print("EXPECTED_NETWORK_MEMBERS =", _network_members())
+        print("EXPECTED_BATCH_RESULT_FIELDS =", list(BatchResult.__dataclass_fields__))
+        print("EXPECTED_REPAIR_RESULT_FIELDS =", list(RepairResult.__dataclass_fields__))
         for qualified, signature in _actual_signatures().items():
             print(f'    "{qualified}": "{signature}",')
         for qualified, signature in _actual_signatures(net, EXPECTED_NET_SIGNATURES).items():

@@ -207,6 +207,9 @@ class TestRepairEngine:
         assert result.summary.hosts == (victim,)
         assert result.messages == sum(r.delivered for r in result.round_reports)
         assert result.max_round_congestion == 1  # hand-offs are sequential
+        assert result.max_round_congestion == max(
+            report.max_load for report in result.round_reports
+        )
 
     def test_migrating_onto_a_failed_target_surfaces_host_failed(self):
         """A hand-off toward a dead target aborts loudly, not silently."""

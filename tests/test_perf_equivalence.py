@@ -9,8 +9,8 @@ pin that contract:
   constructor + the same k inserts charges, for every structure family;
 * the incremental ``with_item`` fast paths produce structures
   bit-identical to a from-scratch rebuild (units, order, adjacency);
-* the network-level caches (alive hosts, round reports) change no
-  observable number while bounding memory;
+* the alive-host cache changes no observable number, and the round
+  congestion summary is exactly the fold of the stored round reports;
 * the fault-injection seam (``Cluster(faults=...)``) is invisible when
   left off: ``faults=None`` — implicit or explicit — reproduces every
   observable number and records zero fault tallies, for every
@@ -29,6 +29,7 @@ import pytest
 from repro.api import Cluster
 from repro.baselines import ChordDHT, SkipGraph
 from repro.errors import HostFailedError
+from repro.net.congestion import round_congestion_report
 from repro.net.message import MessageKind
 from repro.net.network import Network
 from repro.onedim import BucketSkipWeb1D, SkipWeb1D
@@ -206,25 +207,61 @@ class TestNetworkCaches:
         network.alive_host_ids().append(999)
         assert 999 not in network.alive_host_ids()
 
-    def test_round_report_retention_keeps_aggregates(self):
-        bounded = Network(round_report_retention=2)
-        unbounded = Network()
-        for network in (bounded, unbounded):
-            network.add_hosts(4)
-            with network.rounds():
-                for round_index in range(5):
-                    for destination in range(1, 2 + round_index % 2):
-                        network.post(0, destination)
-                    network.run_round()
-        assert len(bounded.round_reports) == 2
-        assert len(unbounded.round_reports) == 5
-        # The whole-session congestion aggregates are identical regardless.
-        assert bounded.round_congestion_summary() == unbounded.round_congestion_summary()
-        # The retained reports keep their per-host dicts and maxima.
-        assert bounded.round_reports == unbounded.round_reports[-2:]
-        for report in bounded.round_reports:
+    @pytest.mark.parametrize("topology", [None, "clustered"])
+    def test_round_congestion_report_is_the_fold_of_round_reports(self, topology):
+        network = Network(topology=topology)
+        network.add_hosts(4)
+        with network.rounds():
+            for round_index in range(5):
+                for destination in range(1, 2 + round_index % 3):
+                    network.post(0, destination)
+                network.run_round()
+            # A direct send after the final round gets a closing report.
+            network.send(3, 2)
+        reports = network.round_reports
+        assert len(reports) == 6 and reports[-1].delivered == 1
+        loads = [report.max_load for report in reports]
+        busiest = reports[loads.index(max(loads))]
+        summary = round_congestion_report(network)
+        assert summary.rounds == len(reports)
+        assert summary.total_messages == sum(report.delivered for report in reports)
+        assert summary.per_round_max == tuple(loads)
+        assert (summary.busiest_host, summary.busiest_round) == (
+            busiest.max_load_host,
+            busiest.index,
+        )
+        assert summary.topology_aware == (topology is not None)
+        if topology is None:
+            assert summary.total_weight == 0 and summary.per_round_max_link == ()
+            assert summary.busiest_link is None and summary.busiest_cluster is None
+        else:
+            links = [report.max_link_load for report in reports]
+            clusters = [report.max_cluster_load for report in reports]
+            assert summary.total_weight == sum(report.weight for report in reports)
+            assert summary.per_round_max_link == tuple(links)
+            assert summary.per_round_max_cluster == tuple(clusters)
+            assert summary.busiest_link == reports[links.index(max(links))].max_link
+            assert (
+                summary.busiest_cluster
+                == reports[clusters.index(max(clusters))].max_cluster
+            )
+        for report in reports:
             assert report.per_host
             assert report.max_host_load == max(report.per_host.values())
+
+    def test_topology_network_without_rounds_is_topology_aware(self):
+        network = Network(topology="clustered")
+        network.add_hosts(2)
+        with network.rounds():
+            pass
+        summary = round_congestion_report(network)
+        assert summary.topology_aware
+        assert summary.rounds == 0
+        assert summary.as_dict()["weight"] == 0.0
+
+    def test_round_report_retention_option_is_gone(self):
+        with pytest.raises(TypeError):
+            Network(round_report_retention=2)
 
     def test_ledger_round_failure_reporting_still_works(self):
         network = Network()
@@ -240,22 +277,6 @@ class TestNetworkCaches:
             with pytest.raises(HostFailedError):
                 doomed.result()
             assert (report.delivered, report.dropped) == (0, 1)
-
-    def test_batched_rows_identical_with_bounded_retention(self):
-        keys = uniform_keys(48, seed=9)
-        queries = uniform_keys(30, seed=10)
-        from repro.engine import BatchExecutor, Operation
-
-        reference = SkipWeb1D(keys, network=Network(), seed=9)
-        bounded = SkipWeb1D(keys, network=Network(round_report_retention=4), seed=9)
-        operations = [Operation("search", query) for query in queries]
-        result_reference = BatchExecutor(reference).run(list(operations))
-        result_bounded = BatchExecutor(bounded).run(list(operations))
-        assert result_reference.summary() == result_bounded.summary()
-        assert (
-            result_reference.round_congestion().as_dict()
-            == result_bounded.round_congestion().as_dict()
-        )
 
 
 #: Read-only batch scenarios for every registered family: constructor
@@ -490,6 +511,6 @@ class TestSerialReplay:
         # ... and the weighted observables replay exactly.
         assert _observables(weighted_cluster, weighted) == _observables(again_cluster, again)
         assert (
-            weighted_cluster.network.topology_congestion_summary()
-            == again_cluster.network.topology_congestion_summary()
+            round_congestion_report(weighted_cluster.network)
+            == round_congestion_report(again_cluster.network)
         )

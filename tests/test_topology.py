@@ -18,6 +18,7 @@ import pytest
 
 from repro.api import Cluster
 from repro.errors import StorageError
+from repro.net.congestion import round_congestion_report
 from repro.net.network import Network
 from repro.net.topology import (
     TOPOLOGY_NAMES,
@@ -177,7 +178,9 @@ class TestNetworkIntegration:
         with network.rounds():
             network.post(0, 1)
             network.run_round()
-        assert network.topology_congestion_summary() is None
+        summary = round_congestion_report(network)
+        assert not summary.topology_aware
+        assert summary.total_weight == 0 and summary.busiest_link is None
 
     def test_weighted_round_aggregates(self):
         network = Network()
@@ -187,11 +190,11 @@ class TestNetworkIntegration:
             network.post(0, 2)  # intra (0 % 2 == 2 % 2): cost 1
             network.post(0, 1)  # inter: cost 5
             network.run_round()
-        summary = network.topology_congestion_summary()
-        assert summary is not None
-        assert summary["weight"] == 6
-        assert summary["busiest_link"] == (0, 1)
-        assert summary["busiest_link_load"] == 5
+        summary = round_congestion_report(network)
+        assert summary.topology_aware
+        assert summary.total_weight == 6
+        assert summary.busiest_link == (0, 1)
+        assert summary.max_link_round_load == 5
         report = network.round_reports[-1]
         assert report.weight == 6
         assert report.max_link == (0, 1)
